@@ -13,7 +13,6 @@
 //! | variable | effect |
 //! |---|---|
 //! | `DEEPSTRIKE_CHECKPOINT_DIR` | enable durable checkpoints in this directory |
-//! | `DEEPSTRIKE_SLICE_LEN` | grid points per checkpointed slice (default 8) |
 //! | `DEEPSTRIKE_ABORT_AFTER_SLICES` | simulated crash: exit(3) after N slices (CI smoke) |
 //!
 //! Without `DEEPSTRIKE_CHECKPOINT_DIR` the supervisor degrades to a
@@ -34,8 +33,8 @@ use par::SweepOutcome;
 /// Environment variable enabling durable checkpoints (the directory).
 pub const CHECKPOINT_DIR_ENV: &str = "DEEPSTRIKE_CHECKPOINT_DIR";
 
-/// Environment variable overriding the slice length (default 8).
-pub const SLICE_LEN_ENV: &str = "DEEPSTRIKE_SLICE_LEN";
+/// Grid points per checkpointed slice in [`supervised_sweep`].
+const SLICE_LEN: usize = 8;
 
 /// Environment variable injecting a simulated crash after N slices.
 pub const ABORT_AFTER_ENV: &str = "DEEPSTRIKE_ABORT_AFTER_SLICES";
@@ -208,9 +207,10 @@ fn env_usize(name: &str) -> Option<usize> {
 }
 
 /// The env-driven entry point for the figure binaries: reads
-/// [`CHECKPOINT_DIR_ENV`] / [`SLICE_LEN_ENV`] / [`ABORT_AFTER_ENV`],
-/// runs the supervised sweep, reports quarantined points on stderr and
-/// returns the per-item results (`None` at quarantined indices).
+/// [`CHECKPOINT_DIR_ENV`] / [`ABORT_AFTER_ENV`], runs the supervised
+/// sweep in `SLICE_LEN`-point slices, reports quarantined points on
+/// stderr and returns the per-item results (`None` at quarantined
+/// indices).
 ///
 /// On a simulated abort the process exits with [`ABORT_EXIT_CODE`]; a
 /// quarantine-free completion clears the checkpoint files (in
@@ -221,13 +221,12 @@ where
     T: SliceCodec + Clone + Send,
     F: Fn(&I) -> T + Sync,
 {
-    let slice_len = env_usize(SLICE_LEN_ENV).unwrap_or(8);
     let abort_after = env_usize(ABORT_AFTER_ENV);
     let mut store = std::env::var(CHECKPOINT_DIR_ENV).ok().map(|dir| {
         CheckpointStore::new(dir, name)
             .unwrap_or_else(|e| panic!("checkpoint store for {name}: {e}"))
     });
-    let outcome = run_sliced(items, f, store.as_mut(), slice_len, abort_after);
+    let outcome = run_sliced(items, f, store.as_mut(), SLICE_LEN, abort_after);
     match outcome {
         SweepRun::Aborted { completed, generation } => {
             eprintln!(

@@ -26,7 +26,7 @@ use pdn::grid::{GridParams, NodeId, SpatialPdn};
 use pdn::rlc::LumpedPdn;
 use pdn::thermal::ThermalModel;
 use uart::proto::StatusInfo;
-use uart::session::ShellHandler;
+use uart::transport::ShellHandler;
 
 use crate::detector::{DetectorConfig, StartDetector};
 use crate::error::Result;
@@ -532,22 +532,21 @@ mod tests {
     fn uart_shell_controls_the_platform() {
         use uart::link::Endpoint;
         use uart::proto::{Command, Response};
-        use uart::session::{Client, Shell};
+        use uart::transport::{TransportClient, TransportShell};
 
         let mut fpga = small_platform(8_000);
         let (a, b) = Endpoint::pair();
-        let mut client = Client::new(a);
-        let mut shell = Shell::new(b);
-        // Load a scheme and arm over the wire.
+        let mut client = TransportClient::new(a);
+        let mut shell = TransportShell::new(b);
+        // Upload a scheme and arm over the wire.
         let scheme = AttackScheme::single(5);
-        let r = client
-            .transact_with(&Command::LoadScheme { data: scheme.to_bytes() }, || {
+        client
+            .upload_scheme(&scheme.to_bytes(), || {
                 shell.poll(&mut fpga);
             })
             .unwrap();
-        assert_eq!(r, Response::Ack);
         let r = client
-            .transact_with(&Command::Arm { enabled: true }, || {
+            .transact(&Command::Arm { enabled: true }, || {
                 shell.poll(&mut fpga);
             })
             .unwrap();
@@ -556,7 +555,7 @@ mod tests {
         let run = fpga.run_inference();
         assert!(!run.strike_cycles.is_empty());
         let r = client
-            .transact_with(&Command::ReadTrace { max_samples: 256 }, || {
+            .transact(&Command::ReadTrace { max_samples: 256 }, || {
                 shell.poll(&mut fpga);
             })
             .unwrap();
@@ -568,7 +567,7 @@ mod tests {
         }
         // Status reflects the fired strikes.
         let r = client
-            .transact_with(&Command::Status, || {
+            .transact(&Command::Status, || {
                 shell.poll(&mut fpga);
             })
             .unwrap();
@@ -579,9 +578,10 @@ mod tests {
             }
             other => panic!("expected status, got {other:?}"),
         }
-        // Garbage scheme bytes are rejected with an error code.
+        // Garbage scheme bytes pass the upload CRC but are rejected by
+        // `AttackScheme::from_bytes` with an error code.
         let err = client
-            .transact_with(&Command::LoadScheme { data: vec![1, 2, 3] }, || {
+            .upload_scheme(&[1, 2, 3], || {
                 shell.poll(&mut fpga);
             })
             .unwrap_err();

@@ -32,8 +32,8 @@ pub enum DeepStrikeError {
         /// The campaign phase that was executing when the link died.
         phase: trace::RemotePhase,
     },
-    /// A campaign phase exceeded its wall-clock or link-tick budget
-    /// (see `RemoteConfig::phase_wall_budget` / `phase_tick_budget`).
+    /// A campaign phase exceeded its link-tick budget
+    /// (see `RemoteConfig::phase_tick_budget`).
     /// Like [`DeepStrikeError::Interrupted`], the checkpoint is intact:
     /// during profiling the supervisor feeds this into the guidance
     /// ladder; elsewhere the campaign resumes the phase on the next run.

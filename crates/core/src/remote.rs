@@ -39,14 +39,14 @@
 //! A lossy link can also fail by *crawling* instead of dying: every
 //! retry eventually succeeds, so the transport never reports `LinkDown`,
 //! but profiling would take unbounded time. [`RemoteConfig`] therefore
-//! carries optional per-phase budgets — wall-clock
-//! ([`RemoteConfig::phase_wall_budget`]) and simulated link ticks
-//! ([`RemoteConfig::phase_tick_budget`]). A supervisor watchdog checks
-//! them after every link exchange; a tripped budget emits
+//! carries an optional per-phase budget in simulated link ticks
+//! ([`RemoteConfig::phase_tick_budget`]), deterministic like everything
+//! else that shapes a campaign's result. A supervisor watchdog checks it
+//! after every link exchange; a tripped budget emits
 //! [`trace::Event::PhaseDeadlineExceeded`] and follows the same
 //! degrade-don't-die policy as an outage: during profiling it feeds the
 //! guidance ladder above, elsewhere it surfaces as the resumable
-//! [`DeepStrikeError::PhaseDeadline`]. Both budgets default to `None`
+//! [`DeepStrikeError::PhaseDeadline`]. The budget defaults to `None`
 //! (unbounded), which leaves the historical behaviour untouched.
 //!
 //! # Durable checkpoints
@@ -99,11 +99,8 @@ pub struct RemoteConfig {
     pub blind_spray_cycles: u64,
     /// Seed for the host-side attack evaluation.
     pub eval_seed: u64,
-    /// Wall-clock budget per phase attempt; `None` (default) disables
-    /// the wall-clock watchdog.
-    pub phase_wall_budget: Option<std::time::Duration>,
     /// Simulated link-tick budget per phase attempt; `None` (default)
-    /// disables the tick watchdog. Deterministic, unlike wall-clock.
+    /// disables the watchdog.
     pub phase_tick_budget: Option<u64>,
 }
 
@@ -121,7 +118,6 @@ impl RemoteConfig {
             guidance_attempts: 2,
             blind_spray_cycles: 4096,
             eval_seed: 7,
-            phase_wall_budget: None,
             phase_tick_budget: None,
         }
     }
@@ -133,7 +129,7 @@ const CAMPAIGN_WIRE_VERSION: u8 = 1;
 /// CRC-32 fingerprint of the result-affecting config fields. A durable
 /// checkpoint written under one config must not resume under another —
 /// the traces/scheme would silently disagree with the new parameters.
-/// The phase budgets are excluded: they bound time, not results.
+/// The phase budget is excluded: it bounds time, not results.
 fn config_fingerprint(config: &RemoteConfig) -> u32 {
     use ckpt::wire;
     let mut bytes = Vec::new();
@@ -192,34 +188,23 @@ fn guidance_from_code(code: u8) -> Option<GuidanceLevel> {
 }
 
 /// The supervisor watchdog: armed at the start of a phase attempt,
-/// consulted after every link exchange. Budgets of `None` never trip.
+/// consulted after every link exchange. A budget of `None` never trips.
 struct Watchdog {
     phase: RemotePhase,
-    started: std::time::Instant,
     start_tick: u64,
-    wall: Option<std::time::Duration>,
     ticks: Option<u64>,
 }
 
 impl Watchdog {
     fn arm(config: &RemoteConfig, phase: RemotePhase, link: &mut TransportClient) -> Self {
-        Watchdog {
-            phase,
-            started: std::time::Instant::now(),
-            start_tick: link.endpoint_mut().now(),
-            wall: config.phase_wall_budget,
-            ticks: config.phase_tick_budget,
-        }
+        Watchdog { phase, start_tick: link.endpoint_mut().now(), ticks: config.phase_tick_budget }
     }
 
     /// Emits [`trace::Event::PhaseDeadlineExceeded`] and returns
-    /// [`DeepStrikeError::PhaseDeadline`] once either budget is spent.
+    /// [`DeepStrikeError::PhaseDeadline`] once the budget is spent.
     fn check(&self, link: &mut TransportClient) -> Result<()> {
-        let wall_spent = self.wall.is_some_and(|budget| self.started.elapsed() > budget);
-        let ticks_spent = self.ticks.is_some_and(|budget| {
-            link.endpoint_mut().now().saturating_sub(self.start_tick) > budget
-        });
-        if wall_spent || ticks_spent {
+        let spent = link.endpoint_mut().now().saturating_sub(self.start_tick);
+        if self.ticks.is_some_and(|budget| spent > budget) {
             let phase = self.phase;
             trace::emit(|| trace::Event::PhaseDeadlineExceeded { phase });
             return Err(DeepStrikeError::PhaseDeadline { phase });

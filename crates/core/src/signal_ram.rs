@@ -51,7 +51,7 @@ impl AttackScheme {
         bits
     }
 
-    /// Serialises the scheme for the UART `LoadScheme` command.
+    /// Serialises the scheme for the UART scheme upload.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(16);
         v.extend_from_slice(&self.delay_cycles.to_le_bytes());
@@ -61,7 +61,7 @@ impl AttackScheme {
         v
     }
 
-    /// Parses a scheme from `LoadScheme` bytes.
+    /// Parses a scheme from uploaded bytes.
     ///
     /// # Errors
     ///
@@ -137,7 +137,7 @@ impl SchemeProgram {
         bits
     }
 
-    /// Serialises the program for the UART `LoadScheme` command
+    /// Serialises the program for the UART scheme upload
     /// (16 bytes per phase).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(16 * self.phases.len());
@@ -147,7 +147,7 @@ impl SchemeProgram {
         v
     }
 
-    /// Parses a program from `LoadScheme` bytes.
+    /// Parses a program from uploaded bytes.
     ///
     /// # Errors
     ///

@@ -10,7 +10,7 @@
 //!
 //! 1. **Shared prefix (fork ladder).** One *reference pass* runs the
 //!    platform with an armed all-zero sentinel scheme and snapshots the
-//!    full platform state every `fork_every` cycles. A candidate whose
+//!    full platform state every `FORK_EVERY` cycles. A candidate whose
 //!    first `1` bit plays at cycle `F` forks from the deepest snapshot at
 //!    or before `F` and only simulates the suffix. Arming with the
 //!    sentinel (rather than running unarmed) makes the reference pass
@@ -26,7 +26,7 @@
 //!    after a candidate's last strike the mesh state becomes *bitwise
 //!    equal* to the reference pass and stays that way. The reference pass
 //!    stores a [`RejoinCheck`] (mesh state + last raw TDC word) every
-//!    `check_every` cycles; once a forked suffix has exhausted its scheme
+//!    `CHECK_EVERY` cycles; once a forked suffix has exhausted its scheme
 //!    and matches a check, the remaining recording is spliced from the
 //!    reference and the remaining thermal integration replays the
 //!    reference's per-cycle powers (the thermal model is feed-forward:
@@ -58,23 +58,14 @@ use crate::signal_ram::AttackScheme;
 use crate::striker::StrikerBank;
 use crate::tdc::TdcSensor;
 
-/// Snapshot cadence knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Full platform snapshot every this many cycles (the fork ladder).
-    pub fork_every: u64,
-    /// Rejoin check (mesh state + raw TDC word) every this many cycles.
-    pub check_every: u64,
-}
+// Snapshot cadence: ~100 forks and ~1600 checks on the 50k-cycle LeNet
+// schedule. A fork costs a full platform clone (~100 KiB), a check only
+// the mesh state, and a finer check grid shortens every suffix.
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        // ~100 forks and ~1600 checks on the 50k-cycle LeNet schedule:
-        // a fork costs a full platform clone (~100 KiB), a check only the
-        // mesh state, and a finer check grid shortens every suffix.
-        EngineConfig { fork_every: 512, check_every: 32 }
-    }
-}
+/// Full platform snapshot every this many cycles (the fork ladder).
+const FORK_EVERY: u64 = 512;
+/// Rejoin check (mesh state + raw TDC word) every this many cycles.
+const CHECK_EVERY: u64 = 32;
 
 /// Full platform state at the start of a cycle, plus the carried
 /// recorder state that lives outside [`CloudFpga`].
@@ -137,7 +128,6 @@ pub struct SnapshotEngine {
     powers: Vec<f64>,
     forks: Vec<ForkPoint>,
     checks: Vec<RejoinCheck>,
-    check_every: u64,
     counters: Counters,
 }
 
@@ -155,20 +145,9 @@ impl std::fmt::Debug for SnapshotEngine {
 }
 
 impl SnapshotEngine {
-    /// Captures the fork ladder with default cadence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sentinel-scheme load/arm failures (none occur on a
-    /// platform whose signal RAM has non-zero capacity).
-    pub fn capture(base: &CloudFpga) -> Result<Self> {
-        Self::capture_with(base, EngineConfig::default())
-    }
-
     /// Captures the fork ladder: one full reference pass with an armed
     /// all-zero sentinel scheme, snapshotting platform state every
-    /// `config.fork_every` cycles and rejoin state every
-    /// `config.check_every` cycles.
+    /// `FORK_EVERY` cycles and rejoin state every `CHECK_EVERY` cycles.
     ///
     /// The reference pass advances the *clone's* state only; `base` is
     /// untouched and is kept as the pristine platform for fallback
@@ -177,10 +156,9 @@ impl SnapshotEngine {
     ///
     /// # Errors
     ///
-    /// Propagates sentinel-scheme load/arm failures.
-    pub fn capture_with(base: &CloudFpga, config: EngineConfig) -> Result<Self> {
-        let fork_every = config.fork_every.max(1);
-        let check_every = config.check_every.max(1);
+    /// Propagates sentinel-scheme load/arm failures (none occur on a
+    /// platform whose signal RAM has non-zero capacity).
+    pub fn capture(base: &CloudFpga) -> Result<Self> {
         let mut sentinel_pass = base.clone();
         // The sentinel: all delay, zero strikes. It compiles to an
         // all-zero bit vector filling the whole RAM, so playback never
@@ -202,10 +180,10 @@ impl SnapshotEngine {
         let substeps = sentinel_pass.config.pdn_substeps;
         let samples_per_cycle = substeps / (substeps / 2).max(1);
         let mut rec = RunRecorder::new(total, true);
-        let mut forks = Vec::with_capacity((total / fork_every + 1) as usize);
-        let mut checks = Vec::with_capacity((total / check_every + 1) as usize);
+        let mut forks = Vec::with_capacity((total / FORK_EVERY + 1) as usize);
+        let mut checks = Vec::with_capacity((total / CHECK_EVERY + 1) as usize);
         for cycle in 0..total {
-            if cycle % fork_every == 0 {
+            if cycle % FORK_EVERY == 0 {
                 let mut fpga = sentinel_pass.clone();
                 fpga.trace_buf.clear();
                 forks.push(ForkPoint {
@@ -215,7 +193,7 @@ impl SnapshotEngine {
                     triggered: rec.triggered_cycle,
                 });
             }
-            if cycle % check_every == 0 {
+            if cycle % CHECK_EVERY == 0 {
                 checks.push(RejoinCheck {
                     cycle,
                     pdn: sentinel_pass.pdn.clone(),
@@ -237,7 +215,6 @@ impl SnapshotEngine {
             powers,
             forks,
             checks,
-            check_every,
             counters: Counters::default(),
         })
     }
@@ -338,7 +315,7 @@ impl SnapshotEngine {
         }
 
         // Deepest fork at or before the first strike. Forks exist at
-        // cycle 0, fork_every, ... so the search never comes up empty.
+        // cycle 0, FORK_EVERY, ... so the search never comes up empty.
         let fork = match self.forks.binary_search_by_key(&first_strike, |f| f.cycle) {
             Ok(i) => &self.forks[i],
             Err(i) => &self.forks[i - 1],
@@ -367,12 +344,12 @@ impl SnapshotEngine {
             // the reference pass, every future cycle is bitwise equal
             // too; splice the rest from the reference.
             if cycle > first_strike
-                && cycle.is_multiple_of(self.check_every)
+                && cycle.is_multiple_of(CHECK_EVERY)
                 && fpga.scheduler.detector().is_triggered()
                 && !fpga.scheduler.ram().is_running()
                 && !fpga.striker.is_enabled()
             {
-                let check = &self.checks[(cycle / self.check_every) as usize];
+                let check = &self.checks[(cycle / CHECK_EVERY) as usize];
                 debug_assert_eq!(check.cycle, cycle);
                 if check.last_raw == rec.last_raw && check.pdn == fpga.pdn {
                     self.counters.rejoined.fetch_add(1, Ordering::Relaxed);

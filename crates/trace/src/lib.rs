@@ -226,8 +226,8 @@ pub enum Event {
     WorkerQuarantined { index: u64 },
     /// A durable checkpoint generation was written and fsynced to disk.
     CheckpointFsync { generation: u64, bytes: u64 },
-    /// A campaign phase blew its simulated-cycle or wall-clock budget and
-    /// the watchdog forced a resumable interrupt (degrade, don't die).
+    /// A campaign phase blew its link-tick budget and the watchdog forced
+    /// a resumable interrupt (degrade, don't die).
     PhaseDeadlineExceeded { phase: RemotePhase },
     /// The PDN solver detected a diverging integration slice and retried
     /// it with a halved timestep (`halvings` is the cumulative count for

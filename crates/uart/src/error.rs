@@ -5,14 +5,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum UartError {
-    /// A frame failed its CRC or COBS structure check.
-    CorruptFrame,
     /// A frame decoded but its payload is not a valid protocol message.
     MalformedMessage(String),
     /// The peer answered with a different message than the protocol allows.
     UnexpectedResponse(String),
-    /// No response arrived within the polling budget.
-    Timeout,
     /// The reliable transport exhausted every retransmission attempt.
     LinkDown {
         /// Total transmissions tried (initial send + retries).
@@ -25,10 +21,8 @@ pub enum UartError {
 impl fmt::Display for UartError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            UartError::CorruptFrame => write!(f, "corrupt frame"),
             UartError::MalformedMessage(msg) => write!(f, "malformed message: {msg}"),
             UartError::UnexpectedResponse(msg) => write!(f, "unexpected response: {msg}"),
-            UartError::Timeout => write!(f, "timed out waiting for response"),
             UartError::LinkDown { attempts } => {
                 write!(f, "link down: no response after {attempts} transmissions")
             }

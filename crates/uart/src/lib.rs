@@ -9,15 +9,16 @@
 //! * [`frame`] — byte-stream framing (COBS encoding, zero delimiters) with
 //!   a CRC-16 integrity check, resilient to mid-stream corruption;
 //! * [`proto`] — the command/response protocol: stream TDC traces out,
-//!   load scheme files in, arm/disarm, query status;
+//!   upload scheme files in, arm/disarm, query status;
 //! * [`link`] — an in-memory full-duplex byte link standing in for the
 //!   physical UART (with fault injection for tests);
-//! * [`session`] — the attacker-side client and the FPGA-side shell that
-//!   dispatches commands into whatever implements [`session::ShellHandler`];
-//! * [`transport`] — a reliable stop-and-wait layer over the lossy link:
-//!   sequence-numbered frames, ack/retransmit with capped exponential
-//!   backoff, a response replay cache for exactly-once execution, and a
-//!   chunked, resumable, CRC-verified scheme upload.
+//! * [`transport`] — the one protocol stack over that link: the
+//!   attacker-side [`transport::TransportClient`] and the FPGA-side
+//!   [`transport::TransportShell`], which dispatches commands into
+//!   whatever implements [`transport::ShellHandler`]. Sequence-numbered
+//!   frames, ack/retransmit with capped exponential backoff, a response
+//!   replay cache for exactly-once execution, and a chunked, resumable,
+//!   CRC-verified scheme upload.
 //!
 //! # Example
 //!
@@ -35,7 +36,6 @@
 pub mod frame;
 pub mod link;
 pub mod proto;
-pub mod session;
 pub mod transport;
 
 mod error;

@@ -3,8 +3,9 @@
 //!
 //! The paper gives the adversary exactly two capabilities over UART:
 //! reading the TDC side-channel stream and configuring the attack-scheme
-//! file in the signal RAM. `Arm`/`Status` round out the operational loop
-//! (the scheme does nothing until the DNN-start detector is armed).
+//! file in the signal RAM (through the chunked `Upload*` commands).
+//! `Arm`/`Status` round out the operational loop (the scheme does nothing
+//! until the DNN-start detector is armed).
 
 use crate::error::UartError;
 
@@ -16,11 +17,6 @@ pub enum Command {
     ReadTrace {
         /// Upper bound on returned samples.
         max_samples: u32,
-    },
-    /// Replace the attack-scheme file in the signal RAM.
-    LoadScheme {
-        /// Encoded scheme bytes (see the `deepstrike` crate's codec).
-        data: Vec<u8>,
     },
     /// Arm or disarm the attack scheduler.
     Arm {
@@ -88,7 +84,8 @@ pub struct StatusInfo {
 }
 
 const TAG_READ_TRACE: u8 = 0x01;
-const TAG_LOAD_SCHEME: u8 = 0x02;
+// 0x02 stays unassigned: a peer still sending the old one-shot scheme
+// write gets a protocol error, never a different command.
 const TAG_ARM: u8 = 0x03;
 const TAG_STATUS: u8 = 0x04;
 const TAG_UPLOAD_BEGIN: u8 = 0x05;
@@ -108,12 +105,6 @@ impl Command {
             Command::ReadTrace { max_samples } => {
                 let mut v = vec![TAG_READ_TRACE];
                 v.extend_from_slice(&max_samples.to_le_bytes());
-                v
-            }
-            Command::LoadScheme { data } => {
-                let mut v = vec![TAG_LOAD_SCHEME];
-                v.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                v.extend_from_slice(data);
                 v
             }
             Command::Arm { enabled } => vec![TAG_ARM, u8::from(*enabled)],
@@ -151,16 +142,6 @@ impl Command {
                     .try_into()
                     .map_err(|_| UartError::MalformedMessage("read_trace length".into()))?;
                 Ok(Command::ReadTrace { max_samples: u32::from_le_bytes(arr) })
-            }
-            TAG_LOAD_SCHEME => {
-                if rest.len() < 4 {
-                    return Err(UartError::MalformedMessage("load_scheme header".into()));
-                }
-                let len = u32::from_le_bytes(rest[..4].try_into().expect("len 4")) as usize;
-                if rest.len() != 4 + len {
-                    return Err(UartError::MalformedMessage("load_scheme body length".into()));
-                }
-                Ok(Command::LoadScheme { data: rest[4..].to_vec() })
             }
             TAG_ARM => match rest {
                 [flag] => Ok(Command::Arm { enabled: *flag != 0 }),
@@ -304,8 +285,6 @@ mod tests {
     fn command_round_trips() {
         let cmds = [
             Command::ReadTrace { max_samples: 4096 },
-            Command::LoadScheme { data: vec![1, 2, 3, 0, 255] },
-            Command::LoadScheme { data: vec![] },
             Command::Arm { enabled: true },
             Command::Arm { enabled: false },
             Command::Status,
@@ -348,7 +327,7 @@ mod tests {
         assert!(Command::from_bytes(&[]).is_err());
         assert!(Command::from_bytes(&[0x77]).is_err());
         assert!(Command::from_bytes(&[0x01, 1, 2]).is_err(), "short read_trace");
-        assert!(Command::from_bytes(&[0x02, 10, 0, 0, 0, 1]).is_err(), "short scheme body");
+        assert!(Command::from_bytes(&[0x02, 1, 0, 0, 0, 1]).is_err(), "retired tag 0x02");
         assert!(Response::from_bytes(&[]).is_err());
         assert!(Response::from_bytes(&[0x81, 5, 0, 0, 0]).is_err(), "short trace");
         assert!(Response::from_bytes(&[0x84, 1]).is_err(), "short status");

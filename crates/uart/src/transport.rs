@@ -1,8 +1,10 @@
 //! Reliable stop-and-wait transport over the (lossy) serial link.
 //!
-//! The bare [`crate::session`] pair assumes a clean wire: a corrupted
-//! frame simply vanishes and the campaign above it stalls. This layer
-//! makes the remotely guided loop survive a degraded link:
+//! This is the one protocol stack between the attacker and the FPGA:
+//! [`TransportClient`] on the attacker side, [`TransportShell`] on the
+//! FPGA side dispatching commands into a [`ShellHandler`]. A raw frame on
+//! the link can be lost, corrupted or delayed; this layer makes the
+//! remotely guided loop survive a degraded link:
 //!
 //! * every request carries a **sequence number**; the response echoes it,
 //!   so stale answers to retransmitted requests are discarded;
@@ -31,8 +33,7 @@
 use crate::error::{Result, UartError};
 use crate::frame::{crc16, encode_frame, FrameDecoder};
 use crate::link::Endpoint;
-use crate::proto::{Command, Response};
-use crate::session::ShellHandler;
+use crate::proto::{Command, Response, StatusInfo};
 
 /// Request packet kind byte.
 const KIND_REQUEST: u8 = 0x00;
@@ -47,11 +48,33 @@ pub const ERR_UPLOAD_ORDER: u8 = 0x11;
 pub const ERR_UPLOAD_CRC: u8 = 0x12;
 /// Application error: upload chunk overflows the declared total.
 pub const ERR_UPLOAD_OVERFLOW: u8 = 0x13;
-/// Application error: command not supported by this endpoint.
-pub const ERR_UNSUPPORTED: u8 = 0xFD;
 /// Application error: frame verified but the payload failed protocol
 /// decoding.
 pub const ERR_PROTOCOL: u8 = 0xFE;
+
+/// What the FPGA side must implement to service the protocol.
+pub trait ShellHandler {
+    /// Returns up to `max_samples` of the most recent TDC readouts.
+    fn read_trace(&mut self, max_samples: usize) -> Vec<u8>;
+
+    /// Replaces the attack-scheme file with a CRC-verified upload
+    /// (called on `UploadCommit`).
+    ///
+    /// # Errors
+    ///
+    /// Returns an application error code on rejection (e.g. oversized).
+    fn load_scheme(&mut self, data: &[u8]) -> std::result::Result<(), u8>;
+
+    /// Arms or disarms the attack scheduler.
+    ///
+    /// # Errors
+    ///
+    /// Returns an application error code on rejection (e.g. no scheme).
+    fn arm(&mut self, enabled: bool) -> std::result::Result<(), u8>;
+
+    /// Scheduler status snapshot.
+    fn status(&mut self) -> StatusInfo;
+}
 
 /// Tunables of the reliable transport. The defaults suit the in-memory
 /// link: one pump iteration delivers one shell poll, so budgets are
@@ -59,9 +82,7 @@ pub const ERR_PROTOCOL: u8 = 0xFE;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Pump iterations to wait for a response before the *first*
-    /// retransmission (and the budget [`crate::session::Client::
-    /// transact_with`] uses as its whole timeout). Default 100 — the
-    /// value that used to be hard-coded in `session.rs`.
+    /// retransmission. Default 100.
     pub pump_budget: u32,
     /// Retransmissions after the initial send before giving up with
     /// [`UartError::LinkDown`]. Default 6.
@@ -358,10 +379,6 @@ impl TransportShell {
             Ok(Command::ReadTrace { max_samples }) => {
                 Response::Trace(handler.read_trace(max_samples as usize))
             }
-            Ok(Command::LoadScheme { data }) => match handler.load_scheme(&data) {
-                Ok(()) => Response::Ack,
-                Err(code) => Response::Error(code),
-            },
             Ok(Command::Arm { enabled }) => match handler.arm(enabled) {
                 Ok(()) => Response::Ack,
                 Err(code) => Response::Error(code),
@@ -421,7 +438,6 @@ impl TransportShell {
 mod tests {
     use super::*;
     use crate::link::FaultConfig;
-    use crate::proto::StatusInfo;
 
     /// Counts executions so duplicate suppression is observable.
     #[derive(Default)]
@@ -483,6 +499,42 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_command_is_answered_with_protocol_error() {
+        let (mut client, mut shell, mut fpga) = clean_rig();
+        // A verified frame whose payload is not a valid command.
+        let seq = 0x1234;
+        client.endpoint_mut().send(&encode_frame(&wrap(seq, KIND_REQUEST, &[0x77, 1, 2, 3])));
+        assert_eq!(shell.poll(&mut fpga), 1);
+        let bytes = client.endpoint_mut().recv_all();
+        let frames = client.decoder.push_bytes(&bytes);
+        let [frame] = frames.as_slice() else { panic!("expected one response, got {frames:?}") };
+        let (rseq, kind, inner) = unwrap(frame).unwrap();
+        assert_eq!((rseq, kind), (seq, KIND_RESPONSE), "the request's seq is echoed");
+        assert_eq!(Response::from_bytes(inner).unwrap(), Response::Error(ERR_PROTOCOL));
+    }
+
+    #[test]
+    fn handler_rejections_reach_the_client_as_remote_errors() {
+        let (mut client, mut shell, mut fpga) = clean_rig();
+        // Arming with no scheme loaded: the handler answers Err(3).
+        let err = client
+            .transact(&Command::Arm { enabled: true }, || {
+                shell.poll(&mut fpga);
+            })
+            .unwrap_err();
+        assert_eq!(err, UartError::Remote(3));
+        // A CRC-clean upload the handler refuses (oversized): Err(2).
+        let err = client
+            .upload_scheme(&[0; 65], || {
+                shell.poll(&mut fpga);
+            })
+            .unwrap_err();
+        assert_eq!(err, UartError::Remote(2));
+        assert!(fpga.scheme.is_empty() && !fpga.armed);
+        assert_eq!(client.stats().retransmissions, 0, "rejections are answers, not losses");
+    }
+
+    #[test]
     fn lost_request_is_retransmitted() {
         let (mut client, mut shell, mut fpga) = clean_rig();
         // Kill the first request frame (first wire byte flipped breaks
@@ -495,6 +547,7 @@ mod tests {
             .unwrap();
         assert!(matches!(r, Response::Status(_)));
         assert!(client.stats().retransmissions >= 1);
+        assert_eq!(shell.corrupt_frames(), 1, "the damaged request was dropped silently");
         assert_eq!(shell.replayed(), 0, "request loss does not hit the replay cache");
     }
 

@@ -123,7 +123,7 @@ mod replay_cache_wraparound {
     use uart::frame::{encode_frame, FrameDecoder};
     use uart::link::Endpoint;
     use uart::proto::{Command, Response, StatusInfo};
-    use uart::session::ShellHandler;
+    use uart::transport::ShellHandler;
     use uart::transport::TransportShell;
 
     #[derive(Default)]

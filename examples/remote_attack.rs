@@ -1,7 +1,8 @@
 //! The full remote loop over the UART channel (paper §IV): the adversary
 //! only sees the serial port — reads the TDC stream, uploads an attack
 //! scheme file, arms the scheduler, and polls status while the victim
-//! classifies.
+//! classifies. Every exchange goes through the reliable transport
+//! (sequence numbers, retransmission, CRC-verified chunked upload).
 //!
 //! ```sh
 //! cargo run --release --example remote_attack
@@ -18,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uart::link::Endpoint;
 use uart::proto::{Command, Response};
-use uart::session::{Client, Shell};
+use uart::transport::{TransportClient, TransportShell};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // FPGA side: victim + attacker fabric, exposed through a shell.
@@ -29,15 +30,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fpga.settle(100);
 
     let (attacker_end, fpga_end) = Endpoint::pair();
-    let mut client = Client::new(attacker_end);
-    let mut shell = Shell::new(fpga_end);
+    let mut client = TransportClient::new(attacker_end);
+    let mut shell = TransportShell::new(fpga_end);
 
     // The victim runs an inference (the adversary has no visibility into
     // this beyond the PDN).
     fpga.run_inference();
 
     // Remote step 1: pull the TDC trace and profile it.
-    let response = client.transact_with(&Command::ReadTrace { max_samples: 200_000 }, || {
+    let response = client.transact(&Command::ReadTrace { max_samples: 200_000 }, || {
         shell.poll(&mut fpga);
     })?;
     let Response::Trace(trace) = response else {
@@ -61,21 +62,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         strike_cycles: 1,
         gap_cycles: ((target.len as u32 / 2) / 200).max(1),
     };
-    let response =
-        client.transact_with(&Command::LoadScheme { data: scheme.to_bytes() }, || {
-            shell.poll(&mut fpga);
-        })?;
-    println!("scheme upload: {response:?}");
+    let scheme_bytes = scheme.to_bytes();
+    client.upload_scheme(&scheme_bytes, || {
+        shell.poll(&mut fpga);
+    })?;
+    println!("scheme upload: {} bytes committed", scheme_bytes.len());
 
     // Remote step 3: arm and let the next inference trip the detector.
-    client.transact_with(&Command::Arm { enabled: true }, || {
+    client.transact(&Command::Arm { enabled: true }, || {
         shell.poll(&mut fpga);
     })?;
     let run = fpga.run_inference();
     println!("victim ran; {} strikes landed", run.strike_cycles.len());
 
     // Remote step 4: read back status.
-    let response = client.transact_with(&Command::Status, || {
+    let response = client.transact(&Command::Status, || {
         shell.poll(&mut fpga);
     })?;
     if let Response::Status(st) = response {

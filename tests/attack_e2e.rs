@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uart::link::Endpoint;
 use uart::proto::{Command, Response};
-use uart::session::{Client, Shell};
+use uart::transport::{TransportClient, TransportShell};
 
 fn small_victim(seed: u64) -> QuantizedNetwork {
     let net = mlp(&mut StdRng::seed_from_u64(seed));
@@ -99,13 +99,13 @@ fn full_campaign_over_the_uart_channel() {
     let victim = small_victim(4);
     let mut fpga = fast_platform(&victim, 12_000);
     let (a, b) = Endpoint::pair();
-    let mut client = Client::new(a);
-    let mut shell = Shell::new(b);
+    let mut client = TransportClient::new(a);
+    let mut shell = TransportShell::new(b);
 
     // Victim runs once; adversary profiles from the serial stream alone.
     fpga.run_inference();
     let response = client
-        .transact_with(&Command::ReadTrace { max_samples: 1 << 20 }, || {
+        .transact(&Command::ReadTrace { max_samples: 1 << 20 }, || {
             shell.poll(&mut fpga);
         })
         .unwrap();
@@ -120,14 +120,13 @@ fn full_campaign_over_the_uart_channel() {
 
     // Upload a scheme targeting the first phase and arm, all remotely.
     let scheme = AttackScheme { delay_cycles: 5, strikes: 40, strike_cycles: 1, gap_cycles: 3 };
-    let r = client
-        .transact_with(&Command::LoadScheme { data: scheme.to_bytes() }, || {
+    client
+        .upload_scheme(&scheme.to_bytes(), || {
             shell.poll(&mut fpga);
         })
         .unwrap();
-    assert_eq!(r, Response::Ack);
     let r = client
-        .transact_with(&Command::Arm { enabled: true }, || {
+        .transact(&Command::Arm { enabled: true }, || {
             shell.poll(&mut fpga);
         })
         .unwrap();
@@ -137,7 +136,7 @@ fn full_campaign_over_the_uart_channel() {
     assert_eq!(run.strike_cycles.len(), 40);
 
     let r = client
-        .transact_with(&Command::Status, || {
+        .transact(&Command::Status, || {
             shell.poll(&mut fpga);
         })
         .unwrap();

@@ -20,7 +20,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uart::link::{Endpoint, FaultConfig};
 use uart::proto::{Command, Response};
-use uart::session::{Client, Shell};
 use uart::transport::{TransportClient, TransportConfig, TransportShell};
 use uart::UartError;
 
@@ -45,31 +44,38 @@ fn fast_platform() -> CloudFpga {
 fn corrupted_uart_traffic_is_contained() {
     let mut fpga = fast_platform();
     let (a, b) = Endpoint::pair();
-    let mut client = Client::new(a);
-    let mut shell = Shell::new(b);
+    let mut client = TransportClient::new(a);
+    let mut shell = TransportShell::new(b);
 
-    // Corrupt the first command entirely.
+    // Corrupt the first transmission of a command: the shell drops the
+    // frame without answering and the transport retransmits.
     client.endpoint_mut().corrupt_next_sends(&[0x5A, 0xA5]);
-    client.send(&Command::Status);
-    shell.poll(&mut fpga);
-    assert_eq!(shell.corrupt_frames(), 1);
-    assert!(client.poll_responses().unwrap().is_empty());
-
-    // The link still works afterwards.
     let r = client
-        .transact_with(&Command::Status, || {
+        .transact(&Command::Status, || {
             shell.poll(&mut fpga);
         })
         .unwrap();
-    assert!(matches!(r, uart::proto::Response::Status(_)));
+    assert!(matches!(r, Response::Status(_)));
+    assert_eq!(shell.corrupt_frames(), 1);
+    assert_eq!(client.stats().retransmissions, 1);
+
+    // The link still works afterwards.
+    let r = client
+        .transact(&Command::Status, || {
+            shell.poll(&mut fpga);
+        })
+        .unwrap();
+    assert!(matches!(r, Response::Status(_)));
+    assert_eq!(client.stats().retransmissions, 1, "a clean exchange needs no retry");
 }
 
 #[test]
 fn dead_fpga_times_out_cleanly() {
     let (a, _b) = Endpoint::pair();
-    let mut client = Client::new(a);
-    let err = client.transact_with(&Command::Status, || {}).unwrap_err();
-    assert_eq!(err, UartError::Timeout);
+    let mut client = TransportClient::new(a);
+    let err = client.transact(&Command::Status, || {}).unwrap_err();
+    let attempts = TransportConfig::default().max_retries + 1;
+    assert_eq!(err, UartError::LinkDown { attempts });
 }
 
 #[test]
@@ -87,8 +93,8 @@ fn oversized_scheme_rejected_locally_and_remotely() {
     // Remotely: the shell answers with an application error code.
     let mut fpga = fast_platform();
     let (a, b) = Endpoint::pair();
-    let mut client = Client::new(a);
-    let mut shell = Shell::new(b);
+    let mut client = TransportClient::new(a);
+    let mut shell = TransportShell::new(b);
     let giant = AttackScheme {
         delay_cycles: 3 * BRAM36_BITS as u32,
         strikes: 1,
@@ -96,7 +102,7 @@ fn oversized_scheme_rejected_locally_and_remotely() {
         gap_cycles: 0,
     };
     let err = client
-        .transact_with(&Command::LoadScheme { data: giant.to_bytes() }, || {
+        .upload_scheme(&giant.to_bytes(), || {
             shell.poll(&mut fpga);
         })
         .unwrap_err();
@@ -107,10 +113,10 @@ fn oversized_scheme_rejected_locally_and_remotely() {
 fn truncated_scheme_bytes_rejected_remotely() {
     let mut fpga = fast_platform();
     let (a, b) = Endpoint::pair();
-    let mut client = Client::new(a);
-    let mut shell = Shell::new(b);
+    let mut client = TransportClient::new(a);
+    let mut shell = TransportShell::new(b);
     let err = client
-        .transact_with(&Command::LoadScheme { data: vec![1, 2, 3] }, || {
+        .upload_scheme(&[1, 2, 3], || {
             shell.poll(&mut fpga);
         })
         .unwrap_err();
@@ -121,10 +127,10 @@ fn truncated_scheme_bytes_rejected_remotely() {
 fn arming_without_scheme_fails_remotely() {
     let mut fpga = fast_platform();
     let (a, b) = Endpoint::pair();
-    let mut client = Client::new(a);
-    let mut shell = Shell::new(b);
+    let mut client = TransportClient::new(a);
+    let mut shell = TransportShell::new(b);
     let err = client
-        .transact_with(&Command::Arm { enabled: true }, || {
+        .transact(&Command::Arm { enabled: true }, || {
             shell.poll(&mut fpga);
         })
         .unwrap_err();

@@ -73,7 +73,7 @@ proptest! {
     ) {
         let cmds = [
             Command::ReadTrace { max_samples: max },
-            Command::LoadScheme { data: data.clone() },
+            Command::UploadChunk { offset: max, data: data.clone() },
             Command::Arm { enabled: armed },
             Command::Status,
         ];
