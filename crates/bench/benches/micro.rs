@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks of the simulation substrates: the costs
 //! that bound how fast the figure harnesses can sweep.
+//!
+//! Whole-campaign speed (guided sweep, strike search, remote fleet) is
+//! measured by the benchmark of record, `perfbench`, declared in
+//! `BENCHMARK.json`:
+//! `cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload <w>`.
 
 use accel::dsp::{DspOp, DspSlice};
 use accel::fault::FaultModel;
-use accel::schedule::AccelConfig;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use deepstrike::attack::{evaluate_attack, plan_attack, profile_victim};
-use deepstrike::cosim::{CloudFpga, CosimConfig};
 use deepstrike::striker::StrikerBank;
 use deepstrike::tdc::{TdcConfig, TdcSensor};
 use dnn::fixed::QFormat;
@@ -71,51 +73,6 @@ fn bench_conv(c: &mut Criterion) {
     });
 }
 
-/// A 64-point slice of the fig5b campaign (reduced image count), the
-/// workload `par` distributes. One sample is a whole slice, so this bench
-/// directly tracks the campaign wall-clock the perf_sweep binary records.
-fn bench_fig5b_slice(c: &mut Criterion) {
-    let net = mlp(&mut StdRng::seed_from_u64(0));
-    let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    let images: Vec<(Tensor, usize)> =
-        (0..8).map(|d| (Tensor::full(&[1, 28, 28], 0.1 * d as f32), d as usize % 10)).collect();
-    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
-    let mut fpga = CloudFpga::new(
-        &q,
-        &accel,
-        8_000,
-        CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
-    )
-    .unwrap();
-    fpga.settle(50);
-    let profile = profile_victim(&mut fpga, &["fc1", "fc2", "fc3"], 1).unwrap();
-    let strikes: Vec<u32> = (0..64).map(|_| rng.gen_range(10u32..60)).collect();
-    let mut group = c.benchmark_group("campaign");
-    group.sample_size(10);
-    group.bench_function("fig5b_slice_64pt_mlp", |b| {
-        b.iter(|| {
-            black_box(par::map_items(&strikes, |&n| {
-                let mut fpga = fpga.clone();
-                let scheme = plan_attack(&profile, "fc1", n).expect("fits");
-                fpga.scheduler_mut().load_scheme(&scheme).expect("fits");
-                fpga.scheduler_mut().arm(true).expect("armed");
-                let run = fpga.run_inference();
-                evaluate_attack(
-                    &q,
-                    fpga.schedule(),
-                    &run,
-                    images.iter().map(|(x, y)| (x, *y)),
-                    FaultModel::paper(),
-                    1,
-                )
-                .attacked_accuracy
-            }))
-        });
-    });
-    group.finish();
-}
-
 fn bench_tdc(c: &mut Criterion) {
     c.bench_function("tdc/sample", |b| {
         let mut tdc = TdcSensor::calibrated(TdcConfig::default(), 100.0, 90).unwrap();
@@ -170,7 +127,6 @@ criterion_group!(
     bench_tdc,
     bench_dsp,
     bench_quant_inference,
-    bench_drc,
-    bench_fig5b_slice
+    bench_drc
 );
 criterion_main!(benches);

@@ -15,7 +15,6 @@
 //! | §V future work (3 tenants, more DNNs) | `multi_tenant`, `arch_sweep` |
 
 pub mod golden;
-pub mod report;
 pub mod supervisor;
 
 use std::fs;

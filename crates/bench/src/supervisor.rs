@@ -1,6 +1,6 @@
 //! Crash-safe sweep supervisor for the figure binaries.
 //!
-//! Wraps [`par::try_map_items`] with durable slice checkpoints: the grid
+//! Wraps [`par::try_map`] with durable slice checkpoints: the grid
 //! is computed in fixed-size slices, and after each slice the prefix of
 //! completed results is saved through a [`ckpt::CheckpointStore`]
 //! (atomic write-rename + CRC + generation rollback). A `kill -9`

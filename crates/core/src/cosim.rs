@@ -271,10 +271,9 @@ impl CloudFpga {
         self.striker.set_enabled(enable);
         let i_striker = self.striker.current_a(v_att_now);
         self.pdn.inject(self.attacker_node, i_striker).expect("attacker node is on the mesh");
-        for (k, b) in self.bystanders.iter().enumerate() {
+        for b in &self.bystanders {
             let on = (cycle / (b.period_cycles / 2).max(1)).is_multiple_of(2);
             let node = self.pdn.node_at_fraction(b.pos.0, b.pos.1);
-            let _ = k;
             self.pdn
                 .inject(node, if on { b.amps } else { 0.0 })
                 .expect("bystander node is on the mesh");

@@ -294,16 +294,6 @@ where
     map(items.len(), |i| f(&items[i]))
 }
 
-/// Panic-isolating variant of [`map_items`]: see [`try_map`].
-pub fn try_map_items<I, T, F>(items: &[I], f: F) -> SweepOutcome<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    try_map(items.len(), |i| f(&items[i]))
-}
-
 /// Maps `f` over `0..n`, handing each item its own `StdRng` seeded from
 /// `(campaign_seed, index)` via [`seed_for`]. The randomness an item
 /// sees is independent of scheduling, so results merge bit-identically
@@ -314,18 +304,6 @@ where
     F: Fn(usize, &mut StdRng) -> T + Sync,
 {
     map(n, |i| {
-        let mut rng = StdRng::seed_from_u64(seed_for(campaign_seed, i as u64));
-        f(i, &mut rng)
-    })
-}
-
-/// Panic-isolating variant of [`map_seeded`]: see [`try_map`].
-pub fn try_map_seeded<T, F>(n: usize, campaign_seed: u64, f: F) -> SweepOutcome<T>
-where
-    T: Send,
-    F: Fn(usize, &mut StdRng) -> T + Sync,
-{
-    try_map(n, |i| {
         let mut rng = StdRng::seed_from_u64(seed_for(campaign_seed, i as u64));
         f(i, &mut rng)
     })
