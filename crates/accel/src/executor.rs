@@ -36,6 +36,15 @@ pub trait MacHook {
     /// of the DSP's critical path (see
     /// [`FaultModel::path_scale`](crate::fault::FaultModel::path_scale)).
     fn fault(&mut self, stage_index: usize, op_index: u64, weight: i8, activation: i8) -> MacFault;
+
+    /// The first op at or after `op_index` in stage `stage_index` that may
+    /// fault. For every op before it, [`Self::fault`] must return
+    /// [`MacFault::None`] without drawing randomness or changing state, so
+    /// the executor skips the call and sums those products clean. The
+    /// default, `op_index`, consults the hook on every op.
+    fn active_from(&self, _stage_index: usize, op_index: u64) -> u64 {
+        op_index
+    }
 }
 
 /// A hook that never faults (reference behaviour).
@@ -124,12 +133,11 @@ pub fn infer_with_faults(
             QLayer::Conv(c) => {
                 map = run_conv(net, c, &map, stage_index, hook, rng, &mut tally);
             }
-            QLayer::MaxPool { window, .. } => {
+            QLayer::MaxPool { .. } => {
                 // Pool comparators do not share the DSP timing; strikes at
                 // attack-level droop cannot fault them, so the hook is not
                 // consulted (see `pool_fault_model` for the margin).
                 map = net.run_stage(stage, &map);
-                let _ = window;
             }
             QLayer::Dense(d) => {
                 let accs = run_dense(d, &map, stage_index, hook, rng, &mut tally);
@@ -152,6 +160,8 @@ pub fn infer_with_faults(
     (map.codes.iter().map(|&c| i32::from(c)).collect(), tally)
 }
 
+/// Output elements whose ops all precede the hook's next active op are
+/// summed clean without consulting it; the rest go op by op.
 #[allow(clippy::too_many_arguments)]
 fn run_conv(
     net: &QuantizedNetwork,
@@ -165,39 +175,61 @@ fn run_conv(
     assert_eq!(input.shape[0], c.in_channels, "conv input channels");
     let (h, w) = (input.shape[1], input.shape[2]);
     let (oh, ow) = (h - c.kernel + 1, w - c.kernel + 1);
+    let k = c.kernel;
+    let taps = c.in_channels * k * k;
+    let clean_product = |op: u64| {
+        let (element, tap) = ((op / taps as u64) as usize, (op % taps as u64) as usize);
+        let (oy, ox) = ((element / ow) % oh, element % ow);
+        let (ic, ky, kx) = (tap / (k * k), (tap / k) % k, tap % k);
+        let xv = input.codes[(ic * h + oy + ky) * w + ox + kx];
+        i32::from(c.weights[element / (oh * ow) * taps + tap]) * i32::from(xv)
+    };
     let mut codes = vec![0i8; c.out_channels * oh * ow];
+    let mut sparse = SparseOps::new(stage_index, &*hook);
     let mut op_index = 0u64;
-    // Per-PE P registers: with round-robin issue, the product a given DSP
-    // produced before op `i` is op `i − PE_COUNT`, not `i − 1`.
-    let mut last_products = DupRing::default();
     for oc in 0..c.out_channels {
+        let kernels = &c.weights[oc * taps..(oc + 1) * taps];
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut acc: i32 = c.bias[oc];
-                for ic in 0..c.in_channels {
-                    for ky in 0..c.kernel {
-                        for kx in 0..c.kernel {
-                            let wv = c.weights
-                                [((oc * c.in_channels + ic) * c.kernel + ky) * c.kernel + kx];
-                            let xv = input.codes[(ic * h + oy + ky) * w + ox + kx];
-                            let product = i32::from(wv) * i32::from(xv);
-                            // Conv engines sum through adder trees: a late
-                            // product misses its slot, so duplication
-                            // faults corrupt conv outputs unconditionally.
-                            acc += apply_fault(
-                                product,
-                                hook.fault(stage_index, op_index, wv, xv),
-                                false,
-                                &mut last_products,
-                                rng,
-                                tally,
-                                stage_index,
-                                op_index,
-                            );
-                            op_index += 1;
+                if sparse.is_quiet(op_index, taps as u64, &*hook) {
+                    for (ic, kernel) in kernels.chunks_exact(k * k).enumerate() {
+                        for (ky, wrow) in kernel.chunks_exact(k).enumerate() {
+                            let xrow = &input.codes[(ic * h + oy + ky) * w + ox..][..k];
+                            for (wv, xv) in wrow.iter().zip(xrow) {
+                                acc += i32::from(*wv) * i32::from(*xv);
+                            }
+                        }
+                    }
+                } else {
+                    let last_products = sparse.ring_for(op_index, taps as u64, &clean_product);
+                    let mut op = op_index;
+                    for ic in 0..c.in_channels {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let wv = kernels[(ic * k + ky) * k + kx];
+                                let xv = input.codes[(ic * h + oy + ky) * w + ox + kx];
+                                let product = i32::from(wv) * i32::from(xv);
+                                // Conv engines sum through adder trees: a
+                                // late product misses its slot, so
+                                // duplication faults corrupt conv outputs
+                                // unconditionally.
+                                acc += apply_fault(
+                                    product,
+                                    hook.fault(stage_index, op, wv, xv),
+                                    false,
+                                    last_products,
+                                    rng,
+                                    tally,
+                                    stage_index,
+                                    op,
+                                );
+                                op += 1;
+                            }
                         }
                     }
                 }
+                op_index += taps as u64;
                 codes[(oc * oh + oy) * ow + ox] = match c.activation {
                     Activation::Tanh => net.tanh_code(acc),
                     Activation::None => {
@@ -210,6 +242,7 @@ fn run_conv(
     CodeMap { shape: vec![c.out_channels, oh, ow], codes }
 }
 
+/// Dense counterpart of [`run_conv`]: one output element per row.
 fn run_dense(
     d: &QDense,
     input: &CodeMap,
@@ -219,43 +252,94 @@ fn run_dense(
     tally: &mut AppliedFaults,
 ) -> Vec<i32> {
     assert_eq!(input.codes.len(), d.inputs, "dense input size");
+    let clean_product = |op: u64| {
+        let op = op as usize;
+        i32::from(d.weights[op]) * i32::from(input.codes[op % d.inputs])
+    };
     let mut accs = vec![0i32; d.outputs];
+    let mut sparse = SparseOps::new(stage_index, &*hook);
     let mut op_index = 0u64;
-    let mut last_products = DupRing::default();
     for (o, acc_out) in accs.iter_mut().enumerate() {
         let mut acc: i32 = d.bias[o];
         let row = &d.weights[o * d.inputs..(o + 1) * d.inputs];
-        for (k, (wv, xv)) in row.iter().zip(&input.codes).enumerate() {
-            let product = i32::from(*wv) * i32::from(*xv);
-            // Dense stages accumulate serially on one DSP: a late product
-            // still lands next cycle ("absorbed by more serial
-            // summations"), so only a duplication at the fetch deadline
-            // (the chain's last op) leaves a stale value.
-            acc += apply_fault(
-                product,
-                hook.fault(stage_index, op_index, *wv, *xv),
-                k + 1 < d.inputs,
-                &mut last_products,
-                rng,
-                tally,
-                stage_index,
-                op_index,
-            );
-            op_index += 1;
+        if sparse.is_quiet(op_index, d.inputs as u64, &*hook) {
+            for (wv, xv) in row.iter().zip(&input.codes) {
+                acc += i32::from(*wv) * i32::from(*xv);
+            }
+        } else {
+            let last_products = sparse.ring_for(op_index, d.inputs as u64, &clean_product);
+            for (k, (wv, xv)) in row.iter().zip(&input.codes).enumerate() {
+                let product = i32::from(*wv) * i32::from(*xv);
+                let op = op_index + k as u64;
+                // Dense stages accumulate serially on one DSP: a late
+                // product still lands next cycle ("absorbed by more serial
+                // summations"), so only a duplication at the fetch deadline
+                // (the chain's last op) leaves a stale value.
+                acc += apply_fault(
+                    product,
+                    hook.fault(stage_index, op, *wv, *xv),
+                    k + 1 < d.inputs,
+                    last_products,
+                    rng,
+                    tally,
+                    stage_index,
+                    op,
+                );
+            }
         }
+        op_index += d.inputs as u64;
         *acc_out = acc;
     }
     accs
 }
 
-/// Applies one fault decision to a product inside an accumulation chain.
-///
-/// Duplication faults are the "result arrives one cycle late" species.
-/// When `absorbed` is true (mid-chain op of a *serial* accumulation, i.e. a
-/// dense stage), the late product still lands next cycle and the sum is
-/// unharmed — the paper's "absorbed by more serial summations". Otherwise
-/// (conv adder trees, or a fetch-deadline op) the stale previous product is
-/// summed instead. Random faults corrupt unconditionally.
+/// One stage's walk over its output elements: which elements the hook
+/// can fault, and the [`DupRing`] state for those it can.
+struct SparseOps {
+    stage_index: usize,
+    /// The hook's `active_from` answer at an op no later than the
+    /// current element's first.
+    next_active: u64,
+    /// One past the last op the ring has seen.
+    ring_end: u64,
+    ring: DupRing,
+}
+
+impl SparseOps {
+    fn new(stage_index: usize, hook: &dyn MacHook) -> Self {
+        SparseOps {
+            stage_index,
+            next_active: hook.active_from(stage_index, 0),
+            ring_end: 0,
+            ring: DupRing::default(),
+        }
+    }
+
+    /// Whether the hook leaves every op in `first..first + len` alone.
+    fn is_quiet(&mut self, first: u64, len: u64, hook: &dyn MacHook) -> bool {
+        if self.next_active < first {
+            self.next_active = hook.active_from(self.stage_index, first);
+        }
+        self.next_active >= first + len
+    }
+
+    /// The ring for visiting ops `first..first + len` one by one: as if
+    /// every earlier op of the stage had gone through it, re-primed from
+    /// `clean_product` when quiet elements were skipped.
+    fn ring_for(
+        &mut self,
+        first: u64,
+        len: u64,
+        clean_product: &dyn Fn(u64) -> i32,
+    ) -> &mut DupRing {
+        if self.ring_end != first {
+            self.ring.prime(first, clean_product);
+        }
+        self.ring_end = first + len;
+        &mut self.ring
+    }
+}
+
 /// Ring of the last product each PE produced (round-robin issue over
 /// [`DupRing::PE_COUNT`] DSPs).
 #[derive(Debug, Clone, Default)]
@@ -275,8 +359,28 @@ impl DupRing {
         self.pos = (self.pos + 1) % Self::PE_COUNT;
         stale
     }
+
+    /// Sets the ring to its state just before op `op` of a stage whose
+    /// ops all exchanged their clean products: op `j` lives in slot
+    /// `j % PE_COUNT`, and slots no op has reached yet hold 0.
+    fn prime(&mut self, op: u64, clean_product: &dyn Fn(u64) -> i32) {
+        let pe = Self::PE_COUNT as u64;
+        self.ring = [0; Self::PE_COUNT];
+        for j in op.saturating_sub(pe)..op {
+            self.ring[(j % pe) as usize] = clean_product(j);
+        }
+        self.pos = (op % pe) as usize;
+    }
 }
 
+/// Applies one fault decision to a product inside an accumulation chain.
+///
+/// Duplication faults are the "result arrives one cycle late" species.
+/// When `absorbed` is true (mid-chain op of a *serial* accumulation, i.e. a
+/// dense stage), the late product still lands next cycle and the sum is
+/// unharmed — the paper's "absorbed by more serial summations". Otherwise
+/// (conv adder trees, or a fetch-deadline op) the stale previous product is
+/// summed instead. Random faults corrupt unconditionally.
 #[allow(clippy::too_many_arguments)]
 fn apply_fault(
     product: i32,

@@ -157,12 +157,25 @@ impl FaultModel {
     /// Samples with a path-length scale in `(0, 1]` (see
     /// [`FaultModel::path_scale`]).
     pub fn sample_scaled(&self, v: f64, scale: f64, rng: &mut impl Rng) -> MacFault {
+        self.sample_factor(self.timing.stage_delay_ps, self.delay.factor(v), scale, rng)
+    }
+
+    /// Samples one op of a stage with nominal delay `stage_delay_ps`
+    /// whose rail sits at delay-law factor `factor` (see
+    /// [`DelayModel::factor`]). Draws nothing when `scale <= 0`.
+    fn sample_factor(
+        &self,
+        stage_delay_ps: f64,
+        factor: f64,
+        scale: f64,
+        rng: &mut impl Rng,
+    ) -> MacFault {
         if scale <= 0.0 {
             return MacFault::None;
         }
         let t = &self.timing;
         let u = 1.0 + rng.gen_range(-t.jitter_frac..=t.jitter_frac);
-        let d = t.stage_delay_ps * scale * self.delay.factor(v) * u;
+        let d = stage_delay_ps * scale * factor * u;
         if d <= t.budget_ps {
             MacFault::None
         } else if d <= t.budget_ps * (1.0 + t.window_frac) {
@@ -248,6 +261,30 @@ impl FaultModel {
                 MacFault::None => MacFault::None,
                 _ => MacFault::Random,
             },
+            fault => fault,
+        }
+    }
+
+    /// [`Self::sample_pipelined_scaled`] with the delay-law factors of
+    /// both voltages already evaluated (`self.delay().factor(v)`), for
+    /// callers that price one voltage trace for many ops. Draws the same
+    /// random numbers and returns the same fault, bit for bit.
+    pub fn sample_pipelined_factors(
+        &self,
+        capture_factor: f64,
+        in_flight_factor: f64,
+        scale: f64,
+        rng: &mut impl Rng,
+    ) -> MacFault {
+        let stage_delay_ps = self.timing.stage_delay_ps;
+        match self.sample_factor(stage_delay_ps, capture_factor, scale, rng) {
+            MacFault::None => {
+                let early_delay_ps = stage_delay_ps * Self::EARLY_STAGE_MARGIN;
+                match self.sample_factor(early_delay_ps, in_flight_factor, scale, rng) {
+                    MacFault::None => MacFault::None,
+                    _ => MacFault::Random,
+                }
+            }
             fault => fault,
         }
     }
@@ -342,6 +379,27 @@ mod tests {
         assert!((0.5..1.0).contains(&v_safe), "safe voltage {v_safe}");
         assert_eq!(m.probabilities(v_safe + 0.005).total(), 0.0);
         assert!(m.probabilities(v_safe - 0.01).total() > 0.0);
+    }
+
+    #[test]
+    fn precomputed_factors_sample_bit_identically() {
+        let m = FaultModel::paper();
+        let mut a = StdRng::seed_from_u64(11);
+        let mut b = StdRng::seed_from_u64(11);
+        for k in 0..4_000 {
+            let v_capture = 0.70 + 0.3 * f64::from(k % 97) / 97.0;
+            let v_min = v_capture - 0.1 * f64::from(k % 13) / 13.0;
+            let scale = FaultModel::path_scale(k % 300 - 20);
+            let reference = m.sample_pipelined_scaled(v_capture, v_min, scale, &mut a);
+            let factors = m.sample_pipelined_factors(
+                m.delay().factor(v_capture),
+                m.delay().factor(v_min),
+                scale,
+                &mut b,
+            );
+            assert_eq!(reference, factors, "op {k}");
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "both paths draw the same stream");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the accelerator simulator.
 
 use accel::dsp::{DspOp, DspSlice};
-use accel::executor::{infer_with_faults, FixedRateHook, NoFaults};
-use accel::fault::{DspTiming, FaultModel};
+use accel::executor::{infer_with_faults, FixedRateHook, MacHook, NoFaults};
+use accel::fault::{DspTiming, FaultModel, MacFault};
 use accel::schedule::{AccelConfig, Schedule};
 use dnn::fixed::QFormat;
 use dnn::layers::{Conv2d, Dense, MaxPool2d, Tanh};
@@ -12,7 +12,56 @@ use dnn::tensor::Tensor;
 use pdn::delay::DelayModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Faults at fixed rates on the ops its per-stage mask marks active and
+/// leaves the rest alone without drawing; declares the masks through
+/// `active_from` only when `declare` is set.
+struct MaskedHook {
+    active: Vec<Vec<bool>>,
+    declare: bool,
+    rng: StdRng,
+}
+
+impl MacHook for MaskedHook {
+    fn fault(&mut self, stage: usize, op: u64, _w: i8, _x: i8) -> MacFault {
+        if !self.active[stage][op as usize] {
+            return MacFault::None;
+        }
+        match self.rng.gen_range(0u32..10) {
+            0..=2 => MacFault::Duplicate,
+            3 => MacFault::Random,
+            _ => MacFault::None,
+        }
+    }
+
+    fn active_from(&self, stage: usize, op: u64) -> u64 {
+        if !self.declare {
+            return op;
+        }
+        let mask = &self.active[stage][op as usize..];
+        mask.iter().position(|&a| a).map_or(u64::MAX, |k| op + k as u64)
+    }
+}
+
+/// A net whose stages have fewer taps per output than the PE ring:
+/// a 1×1 conv over 3 channels (3 ops per output) and a dense stage with
+/// 6 inputs, between a 2×2 conv and a 27-input dense stage.
+fn narrow_net() -> QuantizedNetwork {
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut net = Sequential::new("narrow");
+    net.push(Box::new(Conv2d::new("conv1", 3, 5, 1, &mut rng)));
+    net.push(Box::new(Tanh::new("t1")));
+    net.push(Box::new(Conv2d::new("conv2", 5, 3, 2, &mut rng)));
+    net.push(Box::new(Tanh::new("t2")));
+    net.push(Box::new(Dense::new("fc1", 27, 6, &mut rng)));
+    net.push(Box::new(Tanh::new("t3")));
+    net.push(Box::new(Dense::new("fc2", 6, 4, &mut rng)));
+    QuantizedNetwork::from_sequential(&net, &[3, 4, 4], QFormat::paper()).unwrap()
+}
+
+/// MAC count of each stage of [`narrow_net`].
+const NARROW_OPS: [usize; 4] = [5 * 16 * 3, 3 * 9 * 20, 6 * 27, 4 * 6];
 
 proptest! {
     /// Fault probabilities are a valid, voltage-monotone distribution for
@@ -119,5 +168,34 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(0);
         let (logits, _) = infer_with_faults(&q, &x, &mut NoFaults, &mut rng);
         prop_assert_eq!(logits, q.infer_logits(&x));
+    }
+
+    /// Declaring quiet spans through `active_from` changes nothing: the
+    /// executor sums skipped outputs clean and re-primes the duplication
+    /// ring across them, so logits, tally and both RNG end states match
+    /// the hook consulted on every op.
+    #[test]
+    fn declared_quiet_spans_change_nothing(
+        spans in prop::collection::vec((0usize..4, 0usize..240, 1usize..40), 0..8),
+        fill in 0.0f32..1.0,
+        seed in 0u64..1000,
+    ) {
+        let q = narrow_net();
+        let mut active: Vec<Vec<bool>> = NARROW_OPS.iter().map(|&n| vec![false; n]).collect();
+        for (stage, start, len) in spans {
+            let mask = &mut active[stage];
+            let start = start % mask.len();
+            let end = (start + len).min(mask.len());
+            mask[start..end].iter_mut().for_each(|a| *a = true);
+        }
+        let x = Tensor::full(&[3, 4, 4], fill);
+        let run = |declare: bool| {
+            let mut hook =
+                MaskedHook { active: active.clone(), declare, rng: StdRng::seed_from_u64(seed) };
+            let mut rng = StdRng::seed_from_u64(seed ^ 1);
+            let (logits, tally) = infer_with_faults(&q, &x, &mut hook, &mut rng);
+            (logits, tally, rng.gen::<u64>(), hook.rng.gen::<u64>())
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 }

@@ -18,11 +18,12 @@
 
 use accel::executor::{infer_with_faults, MacHook};
 use accel::fault::{FaultModel, MacFault};
-use accel::schedule::{Schedule, StageKind};
+use accel::schedule::{LayerWindow, Schedule, StageKind};
 use dnn::quant::QuantizedNetwork;
 use dnn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 use crate::cosim::{CloudFpga, InferenceRun};
 use crate::error::{DeepStrikeError, Result};
@@ -230,19 +231,103 @@ pub fn plan_blind_cycles(total_cycles: u64, strikes: u32) -> AttackScheme {
     scheme
 }
 
+/// The image-independent half of scoring one recorded run, built once per
+/// [`evaluate_attack`] call and shared by every image's [`StrikeHook`].
+///
+/// A cycle is *quiet* when no op in flight during it can violate timing:
+/// its capture voltage is at or above the fault model's safe voltage and
+/// its in-flight minimum at or above the early stage's. Each stage lists
+/// the spans of consecutive non-quiet cycles in its window, with the ops
+/// they execute and the delay-law factors of both voltages per cycle; the
+/// executor sums every other op clean.
+#[derive(Debug)]
+pub struct StrikeTables {
+    /// Stage `i` of the network maps to window `i` of the schedule.
+    stages: Vec<StageTable>,
+    /// Delay factors at the capture voltage and at the in-flight minimum,
+    /// one pair per cycle of every span, in span order.
+    factors: Vec<(f64, f64)>,
+    fault_model: FaultModel,
+}
+
+#[derive(Debug)]
+struct StageTable {
+    window: LayerWindow,
+    /// Sorted by op; the op ranges are disjoint and non-empty.
+    spans: Vec<ActiveSpan>,
+}
+
+/// Consecutive non-quiet cycles of one window and the ops run in them.
+#[derive(Debug)]
+struct ActiveSpan {
+    ops: Range<u64>,
+    first_cycle: u64,
+    /// Index in [`StrikeTables::factors`] of `first_cycle`'s pair.
+    factors: usize,
+}
+
+impl StrikeTables {
+    /// Prices `run` in O(window cycles + spans): each window's non-quiet
+    /// cycles are mapped back to the ops that [`LayerWindow::cycle_of_op`]
+    /// places in them, with no per-op work.
+    pub fn new(schedule: &Schedule, run: &InferenceRun, fault_model: FaultModel) -> Self {
+        let voltage = &run.victim_voltage;
+        let safe_voltage = fault_model.safe_voltage();
+        let early_safe_voltage = fault_model.early_stage().safe_voltage();
+        let delay = fault_model.delay();
+        let mut factors = Vec::new();
+        let stages = schedule
+            .windows()
+            .iter()
+            .map(|w| {
+                // Ops `first_op(r)..first_op(r + 1)` run in cycle
+                // `start_cycle + r`: the inverse of `i * cycles / ops`.
+                let first_op = |r: u64| {
+                    (u128::from(r) * u128::from(w.ops)).div_ceil(u128::from(w.cycles)) as u64
+                };
+                let mut spans: Vec<ActiveSpan> = Vec::new();
+                for cycle in w.start_cycle..w.end_cycle().min(voltage.len() as u64) {
+                    let capture = (cycle + StrikeHook::LATENCY) as usize;
+                    let v_capture = voltage[capture.min(voltage.len() - 1)];
+                    let v_min = run.min_voltage_in_flight(cycle, StrikeHook::LATENCY);
+                    if v_capture >= safe_voltage && v_min >= early_safe_voltage {
+                        continue;
+                    }
+                    let r = cycle - w.start_cycle;
+                    let ops = first_op(r)..first_op(r + 1);
+                    match spans.last_mut() {
+                        Some(last)
+                            if last.first_cycle + (factors.len() - last.factors) as u64
+                                == cycle =>
+                        {
+                            last.ops.end = ops.end;
+                        }
+                        _ if ops.is_empty() => continue,
+                        _ => spans.push(ActiveSpan {
+                            ops,
+                            first_cycle: cycle,
+                            factors: factors.len(),
+                        }),
+                    }
+                    factors.push((delay.factor(v_capture), delay.factor(v_min)));
+                }
+                StageTable { window: w.clone(), spans }
+            })
+            .collect();
+        StrikeTables { stages, factors, fault_model }
+    }
+}
+
 /// A [`MacHook`] that converts a recorded [`InferenceRun`] into per-op
 /// fault decisions: an op faults according to the worst rail voltage it
-/// would have seen while in flight.
+/// would have seen while in flight. It holds only the shared
+/// [`StrikeTables`] and the image's own fault RNG.
 #[derive(Debug)]
 pub struct StrikeHook<'a> {
-    windows: Vec<Option<usize>>,
-    schedule: &'a Schedule,
-    capture_voltage: Vec<f64>,
-    in_flight_voltage: Vec<f64>,
-    fault_model: FaultModel,
-    safe_voltage: f64,
-    early_safe_voltage: f64,
+    tables: &'a StrikeTables,
     rng: StdRng,
+    /// `(stage, span)` of the last op looked up.
+    cursor: (usize, usize),
 }
 
 impl<'a> StrikeHook<'a> {
@@ -252,69 +337,59 @@ impl<'a> StrikeHook<'a> {
     /// Path-length scale of accumulate-dominated (dense) DSP ops.
     pub const DENSE_PATH_SCALE: f64 = 0.85;
 
-    /// Builds the hook from a recorded run.
-    pub fn new(
-        net: &QuantizedNetwork,
-        schedule: &'a Schedule,
-        run: &InferenceRun,
-        fault_model: FaultModel,
-        seed: u64,
-    ) -> Self {
-        // Stage i of the network maps to window i of the schedule.
-        let windows =
-            (0..net.layers().len()).map(|i| (i < schedule.windows().len()).then_some(i)).collect();
-        let n = run.victim_voltage.len();
-        let capture_voltage: Vec<f64> = (0..n)
-            .map(|c| {
-                let cap = (c + Self::LATENCY as usize).min(n.saturating_sub(1));
-                run.victim_voltage[cap]
-            })
-            .collect();
-        let in_flight_voltage =
-            (0..n as u64).map(|c| run.min_voltage_in_flight(c, Self::LATENCY)).collect();
-        let safe_voltage = fault_model.safe_voltage();
-        let early_safe_voltage = fault_model.early_stage().safe_voltage();
-        StrikeHook {
-            windows,
-            schedule,
-            capture_voltage,
-            in_flight_voltage,
-            fault_model,
-            safe_voltage,
-            early_safe_voltage,
-            rng: StdRng::seed_from_u64(seed),
-        }
+    /// Builds one image's hook over the run priced in `tables`.
+    pub fn new(tables: &'a StrikeTables, seed: u64) -> Self {
+        StrikeHook { tables, rng: StdRng::seed_from_u64(seed), cursor: (0, 0) }
     }
 }
 
 impl MacHook for StrikeHook<'_> {
     fn fault(&mut self, stage_index: usize, op_index: u64, weight: i8, activation: i8) -> MacFault {
-        let Some(window_index) = self.windows.get(stage_index).copied().flatten() else {
+        let Some(stage) = self.tables.stages.get(stage_index) else {
             return MacFault::None;
         };
-        let window = &self.schedule.windows()[window_index];
-        if op_index >= window.ops {
-            return MacFault::None;
+        // The executor visits a stage's ops in ascending order, so the
+        // span holding op `i` is found by walking on from the last one.
+        let (cursor_stage, mut k) = self.cursor;
+        if cursor_stage != stage_index
+            || (k > 0 && stage.spans.get(k - 1).is_some_and(|s| s.ops.end > op_index))
+        {
+            k = stage.spans.partition_point(|s| s.ops.end <= op_index);
         }
-        let cycle = window.cycle_of_op(op_index) as usize;
-        let (v_capture, v_min) =
-            match (self.capture_voltage.get(cycle), self.in_flight_voltage.get(cycle)) {
-                (Some(&a), Some(&b)) => (a, b),
-                _ => return MacFault::None,
-            };
-        // Fast path: nothing in the op's flight can violate timing.
-        if v_capture >= self.safe_voltage && v_min >= self.early_safe_voltage {
-            return MacFault::None;
+        while stage.spans.get(k).is_some_and(|s| s.ops.end <= op_index) {
+            k += 1;
         }
+        self.cursor = (stage_index, k);
+        // Ops outside every span run in quiet cycles (or past the
+        // recorded run) and cannot fault.
+        let Some(span) = stage.spans.get(k).filter(|s| s.ops.start <= op_index) else {
+            return MacFault::None;
+        };
+        let cycle = stage.window.cycle_of_op(op_index);
+        let (capture_factor, in_flight_factor) =
+            self.tables.factors[span.factors + (cycle - span.first_cycle) as usize];
         // Convolution ops exercise the full multiplier array (path length
         // grows with the product width); fully connected stages are
         // accumulate-dominated — "only adds k×k prior multiplication
         // results" (§IV) — so their critical path is the short ALU add.
-        let scale = match window.kind {
+        let scale = match stage.window.kind {
             StageKind::Dense => Self::DENSE_PATH_SCALE,
             _ => FaultModel::path_scale(i32::from(weight) * i32::from(activation)),
         };
-        self.fault_model.sample_pipelined_scaled(v_capture, v_min, scale, &mut self.rng)
+        self.tables.fault_model.sample_pipelined_factors(
+            capture_factor,
+            in_flight_factor,
+            scale,
+            &mut self.rng,
+        )
+    }
+
+    fn active_from(&self, stage_index: usize, op_index: u64) -> u64 {
+        let Some(stage) = self.tables.stages.get(stage_index) else {
+            return u64::MAX;
+        };
+        let k = stage.spans.partition_point(|s| s.ops.end <= op_index);
+        stage.spans.get(k).map_or(u64::MAX, |s| s.ops.start.max(op_index))
     }
 }
 
@@ -347,13 +422,17 @@ impl AttackOutcome {
 /// The recorded run's voltage waveform is input-independent (the
 /// accelerator's schedule is static), so one co-simulated run prices the
 /// fault distribution and each image samples it independently — the
-/// statistical mode described in DESIGN.md §4.
+/// statistical mode described in DESIGN.md §4. The pricing is done once
+/// per call: one [`StrikeTables`] holds the delay factors of the cycles
+/// whose droop can fault a MAC and, per stage, the ops run in them, and
+/// every image's [`StrikeHook`] shares it. The executor sums each output
+/// whose MACs all run in quiet cycles clean, without consulting the hook.
 ///
 /// Images are scored on the [`par`] worker pool: image `i` draws from an
-/// `StdRng` seeded by `par::seed_for(seed ^ 0xD5, i)` (and its
-/// [`StrikeHook`] from `seed + i`, as before), so the outcome is a pure
-/// function of `(inputs, seed)` — bit-identical at any thread count,
-/// including `DEEPSTRIKE_THREADS=1`.
+/// `StdRng` seeded by `par::seed_for(seed ^ 0xD5, i)` and its
+/// [`StrikeHook`] keeps only its own `StdRng`, seeded from `seed + i`, so
+/// the outcome is a pure function of `(inputs, seed)` — bit-identical at
+/// any thread count, including `DEEPSTRIKE_THREADS=1`.
 pub fn evaluate_attack<'a>(
     net: &QuantizedNetwork,
     schedule: &Schedule,
@@ -413,10 +492,10 @@ fn evaluate_attack_impl(
         duplicate: u64,
         random: u64,
     }
+    let tables = StrikeTables::new(schedule, run, fault_model);
     let scores = par::map_seeded(samples.len(), seed ^ 0xD5, |i, rng| {
         let (x, y) = samples[i];
-        let mut hook =
-            StrikeHook::new(net, schedule, run, fault_model, seed.wrapping_add(i as u64));
+        let mut hook = StrikeHook::new(&tables, seed.wrapping_add(i as u64));
         let (logits, tally) = infer_with_faults(net, x, &mut hook, rng);
         // Invariant: a QuantizedNetwork always ends in a layer with at
         // least one output class, so the logits vector is non-empty.
@@ -652,6 +731,54 @@ mod tests {
         );
         assert!(plan_multi_attack(&profile, &[("a", 5), ("b", 5)]).is_ok());
         assert!(plan_multi_attack(&profile, &[("a", 0)]).is_err());
+    }
+
+    #[test]
+    fn strike_tables_invert_cycle_of_op() {
+        // A synthetic run, shorter than the schedule, whose rail dips
+        // below the safe voltage on a random third of its cycles: every
+        // op's table entry must match pricing its own cycle directly.
+        use rand::Rng;
+        let q = small_victim();
+        let schedule = Schedule::for_network(&q, &accel_config());
+        let mut rng = StdRng::seed_from_u64(3);
+        let n = schedule.total_cycles() as usize - 500;
+        let victim_voltage =
+            (0..n).map(|_| if rng.gen_range(0..3) == 0 { 0.8 } else { 1.0 }).collect();
+        let run = InferenceRun {
+            tdc_trace: vec![],
+            victim_voltage,
+            strike_cycles: vec![],
+            triggered_cycle: None,
+            final_temp_c: 25.0,
+        };
+        let model = FaultModel::paper();
+        let tables = StrikeTables::new(&schedule, &run, model);
+        let hook = StrikeHook::new(&tables, 0);
+        let mut active_ops = 0;
+        for (stage, table) in tables.stages.iter().enumerate() {
+            for op in 0..table.window.ops {
+                let cycle = table.window.cycle_of_op(op);
+                let priced = (cycle < n as u64).then(|| {
+                    let v_capture = run.victim_voltage
+                        [(cycle + StrikeHook::LATENCY).min(n as u64 - 1) as usize];
+                    let v_min = run.min_voltage_in_flight(cycle, StrikeHook::LATENCY);
+                    (v_capture, v_min)
+                });
+                let expected = priced
+                    .filter(|&(c, m)| {
+                        !(c >= model.safe_voltage() && m >= model.early_stage().safe_voltage())
+                    })
+                    .map(|(c, m)| (model.delay().factor(c), model.delay().factor(m)));
+                let span = table.spans.iter().find(|s| s.ops.contains(&op));
+                let found =
+                    span.map(|s| tables.factors[s.factors + (cycle - s.first_cycle) as usize]);
+                assert_eq!(found, expected, "stage {stage} op {op} (cycle {cycle})");
+                assert_eq!(hook.active_from(stage, op) == op, expected.is_some());
+                active_ops += u64::from(expected.is_some());
+            }
+        }
+        assert!(active_ops > 1000, "the synthetic droop must reach ops: {active_ops}");
     }
 
     #[test]
