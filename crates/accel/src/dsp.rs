@@ -6,7 +6,7 @@
 //! cycles (the DSPs have no result-ready signal). This module models that
 //! pipeline behaviourally: ops flow through a fixed-latency pipe, each op
 //! remembers the worst rail voltage it saw in flight, and at the capture
-//! cycle the [`FaultModel`](crate::fault::FaultModel) decides whether the
+//! cycle the [`FaultModel`] decides whether the
 //! output register got the right value, the previous value (duplication) or
 //! garbage (random fault).
 

@@ -25,9 +25,13 @@
 //! * `D > B + W` → random fault.
 //!
 //! Because `u` is uniform, closed-form per-op probabilities exist
-//! ([`FaultModel::probabilities`]); the cycle-level simulator *samples* the
-//! same distribution, so statistical and cycle modes agree (tested in the
-//! integration suite).
+//! ([`FaultModel::probabilities`]); the simulators *sample* the same
+//! distribution, so statistical and cycle modes agree (tested in the
+//! integration suite). There is one sampler body,
+//! [`FaultModel::sample_pipelined_factors`]: the cycle-level DSP slice
+//! reaches it through [`FaultModel::sample_pipelined_scaled`], which prices
+//! its two voltages first, and the attack scorer calls it with delay
+//! factors priced once per recorded run.
 
 use pdn::delay::DelayModel;
 use rand::Rng;
@@ -148,18 +152,6 @@ impl FaultModel {
         FaultProbabilities { duplicate: p_any - p_random, random: p_random }
     }
 
-    /// Samples the fault outcome of one op at worst in-flight voltage `v`,
-    /// assuming the full critical path is exercised (`scale = 1`).
-    pub fn sample(&self, v: f64, rng: &mut impl Rng) -> MacFault {
-        self.sample_scaled(v, 1.0, rng)
-    }
-
-    /// Samples with a path-length scale in `(0, 1]` (see
-    /// [`FaultModel::path_scale`]).
-    pub fn sample_scaled(&self, v: f64, scale: f64, rng: &mut impl Rng) -> MacFault {
-        self.sample_factor(self.timing.stage_delay_ps, self.delay.factor(v), scale, rng)
-    }
-
     /// Samples one op of a stage with nominal delay `stage_delay_ps`
     /// whose rail sits at delay-law factor `factor` (see
     /// [`DelayModel::factor`]). Draws nothing when `scale <= 0`.
@@ -232,23 +224,14 @@ impl FaultModel {
     }
 
     /// Samples the fate of one op given the rail voltage at its *capture*
-    /// cycle and the worst voltage over its whole flight.
+    /// cycle and the worst voltage over its whole flight, with the
+    /// operand-dependent path `scale` of [`Self::path_scale`].
     ///
     /// The capture stage is the critical path (fails first); the earlier
     /// stages carry [`Self::EARLY_STAGE_MARGIN`] more slack and only fail
     /// under much deeper droop, producing mid-cone corruption — always a
     /// *random* fault, since partially-evaluated logic is latched
     /// downstream.
-    pub fn sample_pipelined(
-        &self,
-        v_capture: f64,
-        v_min_in_flight: f64,
-        rng: &mut impl Rng,
-    ) -> MacFault {
-        self.sample_pipelined_scaled(v_capture, v_min_in_flight, 1.0, rng)
-    }
-
-    /// [`Self::sample_pipelined`] with an operand-dependent path scale.
     pub fn sample_pipelined_scaled(
         &self,
         v_capture: f64,
@@ -256,19 +239,16 @@ impl FaultModel {
         scale: f64,
         rng: &mut impl Rng,
     ) -> MacFault {
-        match self.sample_scaled(v_capture, scale, rng) {
-            MacFault::None => match self.early_stage().sample_scaled(v_min_in_flight, scale, rng) {
-                MacFault::None => MacFault::None,
-                _ => MacFault::Random,
-            },
-            fault => fault,
-        }
+        let (capture, in_flight) =
+            (self.delay.factor(v_capture), self.delay.factor(v_min_in_flight));
+        self.sample_pipelined_factors(capture, in_flight, scale, rng)
     }
 
     /// [`Self::sample_pipelined_scaled`] with the delay-law factors of
     /// both voltages already evaluated (`self.delay().factor(v)`), for
-    /// callers that price one voltage trace for many ops. Draws the same
-    /// random numbers and returns the same fault, bit for bit.
+    /// callers that price one voltage trace for many ops. This is the one
+    /// sampler body: both entry points draw the same random numbers in the
+    /// same order and return the same fault.
     pub fn sample_pipelined_factors(
         &self,
         capture_factor: f64,
@@ -304,7 +284,7 @@ mod tests {
         assert_eq!(p.total(), 0.0, "design meets timing at nominal voltage");
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..1000 {
-            assert_eq!(m.sample(1.0, &mut rng), MacFault::None);
+            assert_eq!(m.sample_pipelined_scaled(1.0, 1.0, 1.0, &mut rng), MacFault::None);
         }
     }
 
@@ -348,8 +328,11 @@ mod tests {
         let n = 40_000usize;
         let mut dup = 0usize;
         let mut rnd = 0usize;
+        // A nominal in-flight voltage leaves the early stages fault-free,
+        // so only the capture stage's closed form applies.
+        let v_nom = m.delay().v_nom;
         for _ in 0..n {
-            match m.sample(v, &mut rng) {
+            match m.sample_pipelined_scaled(v, v_nom, 1.0, &mut rng) {
                 MacFault::Duplicate => dup += 1,
                 MacFault::Random => rnd += 1,
                 MacFault::None => {}
@@ -379,27 +362,6 @@ mod tests {
         assert!((0.5..1.0).contains(&v_safe), "safe voltage {v_safe}");
         assert_eq!(m.probabilities(v_safe + 0.005).total(), 0.0);
         assert!(m.probabilities(v_safe - 0.01).total() > 0.0);
-    }
-
-    #[test]
-    fn precomputed_factors_sample_bit_identically() {
-        let m = FaultModel::paper();
-        let mut a = StdRng::seed_from_u64(11);
-        let mut b = StdRng::seed_from_u64(11);
-        for k in 0..4_000 {
-            let v_capture = 0.70 + 0.3 * f64::from(k % 97) / 97.0;
-            let v_min = v_capture - 0.1 * f64::from(k % 13) / 13.0;
-            let scale = FaultModel::path_scale(k % 300 - 20);
-            let reference = m.sample_pipelined_scaled(v_capture, v_min, scale, &mut a);
-            let factors = m.sample_pipelined_factors(
-                m.delay().factor(v_capture),
-                m.delay().factor(v_min),
-                scale,
-                &mut b,
-            );
-            assert_eq!(reference, factors, "op {k}");
-        }
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "both paths draw the same stream");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use pdn::delay::DelayModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// Faults at fixed rates on the ops its per-stage mask marks active and
 /// leaves the rest alone without drawing; declares the masks through
@@ -62,6 +63,29 @@ fn narrow_net() -> QuantizedNetwork {
 
 /// MAC count of each stage of [`narrow_net`].
 const NARROW_OPS: [usize; 4] = [5 * 16 * 3, 3 * 9 * 20, 6 * 27, 4 * 6];
+
+/// LeNet-5, the deeper CNN, the MLP and [`narrow_net`], quantised once.
+fn victims() -> &'static [QuantizedNetwork] {
+    static VICTIMS: OnceLock<Vec<QuantizedNetwork>> = OnceLock::new();
+    VICTIMS.get_or_init(|| {
+        let quantize = |net: Sequential| {
+            QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap()
+        };
+        vec![
+            quantize(dnn::lenet::lenet5(&mut StdRng::seed_from_u64(1))),
+            quantize(dnn::zoo::deep_cnn(&mut StdRng::seed_from_u64(2))),
+            quantize(dnn::zoo::mlp(&mut StdRng::seed_from_u64(3))),
+            narrow_net(),
+        ]
+    })
+}
+
+/// An image of the given shape with uniform pixels in `[0, 1)`.
+fn random_image(shape: &[usize], seed: u64) -> Tensor {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pixels = (0..shape.iter().product::<usize>()).map(|_| rng.gen::<f32>()).collect();
+    Tensor::from_vec(pixels, shape)
+}
 
 proptest! {
     /// Fault probabilities are a valid, voltage-monotone distribution for
@@ -159,15 +183,18 @@ proptest! {
         );
     }
 
-    /// Fault-free execution matches the reference for random inputs.
+    /// Fault-free execution matches the reference on seeded random pixel
+    /// images, for every victim shape. `NoFaults` keeps the default
+    /// `active_from`, so the executor sends every op through its per-op
+    /// loops: the check does not run the clean kernels it is checking.
     #[test]
-    fn clean_execution_matches_reference(fill in 0.0f32..1.0, seed in 0u64..50) {
-        let net = dnn::zoo::mlp(&mut StdRng::seed_from_u64(seed));
-        let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
-        let x = Tensor::full(&[1, 28, 28], fill);
+    fn clean_execution_matches_reference(victim in 0usize..4, seed in any::<u64>()) {
+        let q = &victims()[victim];
+        let x = random_image(q.input_shape(), seed);
         let mut rng = StdRng::seed_from_u64(0);
-        let (logits, _) = infer_with_faults(&q, &x, &mut NoFaults, &mut rng);
+        let (logits, tally) = infer_with_faults(q, &x, &mut NoFaults, &mut rng);
         prop_assert_eq!(logits, q.infer_logits(&x));
+        prop_assert_eq!(tally.total(), 0);
     }
 
     /// Declaring quiet spans through `active_from` changes nothing: the

@@ -5,6 +5,7 @@
 use accel::executor::{infer_with_faults, MacHook};
 use accel::fault::MacFault;
 use bench::{test_set, trained_lenet};
+use dnn::quant::argmax;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,13 +40,7 @@ fn main() {
                     OneStage { stage, random: rate, rng: StdRng::seed_from_u64(100 + i as u64) };
                 let (logits, tally) = infer_with_faults(&q, x, &mut hook, &mut rng);
                 faults += tally.random;
-                let p = logits
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(k, &v)| (v, std::cmp::Reverse(*k)))
-                    .map(|(k, _)| k)
-                    .unwrap();
-                if p == y {
+                if argmax(&logits) == y {
                     correct += 1;
                 }
             }

@@ -91,7 +91,7 @@ pub fn test_set() -> Dataset {
 /// Trains (or loads from cache) the paper's quantised LeNet-5 victim.
 /// Returns the deployed network and its test accuracy.
 ///
-/// The cache file name embeds [`lenet_cache_key`], so editing the seed or
+/// The cache file name embeds `lenet_cache_key`, so editing the seed or
 /// any training hyperparameter invalidates the cache automatically.
 pub fn trained_lenet() -> (QuantizedNetwork, f64) {
     let config = TrainConfig::default();

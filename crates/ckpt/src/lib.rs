@@ -2,7 +2,7 @@
 //!
 //! A long sweep (`fig5b`, `remote_campaign`, …) periodically hands this
 //! store an opaque payload — the encoded prefix of completed grid points
-//! or a serialized [`RemoteCampaign`] — and the store makes it survive
+//! or a serialized `RemoteCampaign` — and the store makes it survive
 //! `kill -9` at any instant:
 //!
 //! - **Atomic write-rename.** The payload is written to a staging file,

@@ -16,10 +16,11 @@
 //! of strikes uniformly over the whole inference instead of into the
 //! target layer ([`plan_blind`]).
 
+use accel::dsp::DspSlice;
 use accel::executor::{infer_with_faults, MacHook};
 use accel::fault::{FaultModel, MacFault};
 use accel::schedule::{LayerWindow, Schedule, StageKind};
-use dnn::quant::QuantizedNetwork;
+use dnn::quant::{argmax, QuantizedNetwork};
 use dnn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -331,8 +332,9 @@ pub struct StrikeHook<'a> {
 }
 
 impl<'a> StrikeHook<'a> {
-    /// DSP pipeline latency assumed for the in-flight window, in cycles.
-    pub const LATENCY: u64 = 5;
+    /// DSP pipeline latency assumed for the in-flight window, in cycles:
+    /// the slice's issue-to-capture pipeline.
+    pub const LATENCY: u64 = DspSlice::LATENCY as u64;
 
     /// Path-length scale of accumulate-dominated (dense) DSP ops.
     pub const DENSE_PATH_SCALE: f64 = 0.85;
@@ -497,19 +499,11 @@ fn evaluate_attack_impl(
         let (x, y) = samples[i];
         let mut hook = StrikeHook::new(&tables, seed.wrapping_add(i as u64));
         let (logits, tally) = infer_with_faults(net, x, &mut hook, rng);
-        // Invariant: a QuantizedNetwork always ends in a layer with at
-        // least one output class, so the logits vector is non-empty.
-        let predicted = logits
-            .iter()
-            .enumerate()
-            .max_by_key(|(k, &v)| (v, std::cmp::Reverse(*k)))
-            .map(|(k, _)| k)
-            .expect("non-empty logits");
         let clean_ok = match clean {
             Some(c) => c[i],
             None => net.predict(x) == y,
         };
-        let attacked_ok = predicted == y;
+        let attacked_ok = argmax(&logits) == y;
         trace::emit(|| trace::Event::ImageScored {
             index: i as u64,
             clean_ok,

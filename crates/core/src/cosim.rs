@@ -38,8 +38,6 @@ use crate::tdc::{TdcConfig, TdcSensor};
 /// Co-simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosimConfig {
-    /// Victim clock in MHz (the paper's accelerator runs at 100 MHz).
-    pub victim_clock_mhz: f64,
     /// PDN integration substeps per victim cycle.
     pub pdn_substeps: usize,
     /// Victim placement as a fraction of the die (x, y).
@@ -57,7 +55,6 @@ pub struct CosimConfig {
 impl Default for CosimConfig {
     fn default() -> Self {
         CosimConfig {
-            victim_clock_mhz: 100.0,
             pdn_substeps: 10,
             victim_pos: (0.12, 0.5),
             attacker_pos: (0.88, 0.5),
@@ -221,7 +218,7 @@ impl CloudFpga {
     }
 
     pub(crate) fn substep_dt(&self) -> f64 {
-        let period_s = 1.0e-6 / self.config.victim_clock_mhz;
+        let period_s = 1.0e-6 / self.schedule.config().clock_mhz;
         period_s / self.config.pdn_substeps as f64
     }
 

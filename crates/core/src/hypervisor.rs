@@ -91,7 +91,7 @@ pub fn deploy(
 ///
 /// With [`DrcPolicy::strict`] the latch-loop scan catches the striker and
 /// the whole deployment is rejected — the countermeasure the paper's
-/// §III-C refs [26][27] propose.
+/// §III-C refs \[26\]\[27\] propose.
 ///
 /// # Errors
 ///

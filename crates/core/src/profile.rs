@@ -1,7 +1,7 @@
 //! Victim profiling: trace segmentation and the layer-signature library.
 //!
 //! §III-B: the attacker watches the TDC stream while the victim classifies
-//! images and "build[s] a library of sensor readout patterns for different
+//! images and "build\[s\] a library of sensor readout patterns for different
 //! types of DNN layers at different sizes for future attack use". The
 //! observables per execution phase are its duration, its mean readout
 //! depression and its fluctuation — Fig. 1b shows exactly these three

@@ -85,7 +85,7 @@ impl AttackScheme {
 
 /// A multi-phase attack program: several schemes concatenated into one bit
 /// vector, so a single trigger can strike *several* layers in one inference
-/// ("the attacker [has] high flexibility to load different attack
+/// ("the attacker \[has\] high flexibility to load different attack
 /// strategies at run-time, i.e., dynamically target at different DNN
 /// layers", §III-D).
 ///

@@ -17,7 +17,7 @@
 //!    replicate the exact detector/RAM activity of a real candidate run:
 //!    until its first strike a candidate is indistinguishable from the
 //!    sentinel, so the fork state *is* the candidate's state — except for
-//!    the RAM contents, which [`SignalRam::fork_install`] swaps in at the
+//!    the RAM contents, which `SignalRam::fork_install` swaps in at the
 //!    preserved playback position.
 //!
 //! 2. **Post-strike rejoin.** The PDN is linear, a disabled striker draws
@@ -25,14 +25,14 @@
 //!    contracting with a bitwise early-exit — so a few hundred cycles
 //!    after a candidate's last strike the mesh state becomes *bitwise
 //!    equal* to the reference pass and stays that way. The reference pass
-//!    stores a [`RejoinCheck`] (mesh state + last raw TDC word) every
+//!    stores a `RejoinCheck` (mesh state + last raw TDC word) every
 //!    `CHECK_EVERY` cycles; once a forked suffix has exhausted its scheme
 //!    and matches a check, the remaining recording is spliced from the
 //!    reference and the remaining thermal integration replays the
 //!    reference's per-cycle powers (the thermal model is feed-forward:
 //!    its state never feeds back into the electrical loop).
 //!
-//! Determinism: a forked run performs the identical [`CloudFpga::step_cycle`]
+//! Determinism: a forked run performs the identical `CloudFpga::step_cycle`
 //! sequence a naive replay would — same float operations in the same
 //! order — so outputs agree bit-for-bit, not approximately (enforced by
 //! `tests/snapshot_oracle.rs` and the property tests). Candidates the

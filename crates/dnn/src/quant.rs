@@ -2,9 +2,10 @@
 //!
 //! Deployment follows the paper: parameters and activations are 8-bit
 //! fixed point ([`QFormat::paper`]); MAC accumulation happens on the raw
-//! integer codes exactly as a DSP48 does it, so the `accel` crate can
-//! re-execute the same arithmetic cycle by cycle with fault hooks and a
-//! fault-free run provably agrees with the reference here.
+//! integer codes exactly as a DSP48 does it. This is the one copy of that
+//! clean arithmetic ([`QConv::accumulate`], [`QDense::accumulate`],
+//! [`QuantizedNetwork::requantize`], [`argmax`]): the `accel` crate's
+//! fault-aware executor calls it wherever no fault can land.
 //!
 //! Scale conventions (for the 5-fraction-bit format):
 //!
@@ -88,6 +89,43 @@ pub struct QDense {
     pub activation: Activation,
 }
 
+impl QConv {
+    /// The accumulator of output `(oc, oy, ox)` over `input`: the bias plus
+    /// the `(ic, ky, kx)`-ordered sum of weight × activation code products,
+    /// wrapping on overflow like the i32 datapath.
+    #[inline]
+    pub fn accumulate(&self, input: &CodeMap, oc: usize, oy: usize, ox: usize) -> i32 {
+        let (h, w) = (input.shape[1], input.shape[2]);
+        let k = self.kernel;
+        let taps = self.in_channels * k * k;
+        let kernels = &self.weights[oc * taps..(oc + 1) * taps];
+        let mut acc = self.bias[oc];
+        for (ic, kernel) in kernels.chunks_exact(k * k).enumerate() {
+            for (ky, wrow) in kernel.chunks_exact(k).enumerate() {
+                let xrow = &input.codes[(ic * h + oy + ky) * w + ox..][..k];
+                for (wv, xv) in wrow.iter().zip(xrow) {
+                    acc = acc.wrapping_add(i32::from(*wv) * i32::from(*xv));
+                }
+            }
+        }
+        acc
+    }
+}
+
+impl QDense {
+    /// The accumulator of output `o` over input codes `x`: the bias plus
+    /// the row's products in input order, wrapping on overflow.
+    #[inline]
+    pub fn accumulate(&self, x: &[i8], o: usize) -> i32 {
+        let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
+        let mut acc = self.bias[o];
+        for (wv, xv) in row.iter().zip(x) {
+            acc = acc.wrapping_add(i32::from(*wv) * i32::from(*xv));
+        }
+        acc
+    }
+}
+
 /// One stage of the quantised pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QLayer {
@@ -141,7 +179,8 @@ impl QuantizedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::UnsupportedStructure`] otherwise.
+    /// Returns [`QuantError::UnsupportedStructure`] otherwise, or if the
+    /// network has no stages.
     pub fn from_sequential(
         net: &Sequential,
         input_shape: &[usize],
@@ -220,6 +259,9 @@ impl QuantizedNetwork {
                 }
             }
         }
+        if out.is_empty() {
+            return Err(QuantError::UnsupportedStructure("network has no stages".into()));
+        }
         Ok(QuantizedNetwork { format, input_shape: input_shape.to_vec(), layers: out })
     }
 
@@ -256,13 +298,6 @@ impl QuantizedNetwork {
         }
     }
 
-    /// Requantises an accumulator through `tanh` (the BRAM LUT on the FPGA).
-    pub fn tanh_code(&self, acc: i32) -> i8 {
-        let acc_scale = self.format.scale() * self.format.scale();
-        let v = (acc as f32 / acc_scale).tanh();
-        self.format.quantize(v).code() as i8
-    }
-
     /// Reference (fault-free) execution of one stage.
     ///
     /// # Panics
@@ -284,18 +319,8 @@ impl QuantizedNetwork {
         for oc in 0..c.out_channels {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let mut acc: i32 = c.bias[oc];
-                    for ic in 0..c.in_channels {
-                        for ky in 0..c.kernel {
-                            for kx in 0..c.kernel {
-                                let wv = c.weights
-                                    [((oc * c.in_channels + ic) * c.kernel + ky) * c.kernel + kx];
-                                let xv = input.codes[(ic * h + oy + ky) * w + ox + kx];
-                                acc += i32::from(wv) * i32::from(xv);
-                            }
-                        }
-                    }
-                    codes[(oc * oh + oy) * ow + ox] = self.finish(acc, c.activation);
+                    let acc = c.accumulate(input, oc, oy, ox);
+                    codes[(oc * oh + oy) * ow + ox] = self.requantize(acc, c.activation);
                 }
             }
         }
@@ -303,29 +328,25 @@ impl QuantizedNetwork {
     }
 
     fn run_dense(&self, d: &QDense, input: &CodeMap) -> CodeMap {
-        assert_eq!(input.codes.len(), d.inputs, "dense input size");
-        let mut codes = vec![0i8; d.outputs];
-        for (o, code) in codes.iter_mut().enumerate() {
-            let mut acc: i32 = d.bias[o];
-            let row = &d.weights[o * d.inputs..(o + 1) * d.inputs];
-            for (wv, xv) in row.iter().zip(&input.codes) {
-                acc += i32::from(*wv) * i32::from(*xv);
-            }
-            *code = self.finish(acc, d.activation);
-        }
+        let codes = dense_accumulators(d, input)
+            .into_iter()
+            .map(|acc| self.requantize(acc, d.activation))
+            .collect();
         CodeMap { shape: vec![d.outputs], codes }
     }
 
-    /// Accumulator → activation code. For `Activation::None` the saturated
-    /// accumulator is rescaled to code range; logits should instead be read
-    /// through [`Self::infer_logits`], which keeps full precision.
-    fn finish(&self, acc: i32, act: Activation) -> i8 {
+    /// Accumulator → activation code: `tanh` of the dequantised
+    /// accumulator, re-quantised (the BRAM LUT on the FPGA), or for
+    /// `Activation::None` the accumulator rescaled and saturated to code
+    /// range. Logits should instead be read through [`Self::infer_logits`],
+    /// which keeps full precision.
+    pub fn requantize(&self, acc: i32, act: Activation) -> i8 {
+        let scale = self.format.scale();
         match act {
-            Activation::Tanh => self.tanh_code(acc),
-            Activation::None => {
-                let scale = self.format.scale();
-                (acc as f32 / scale).round().clamp(-128.0, 127.0) as i8
+            Activation::Tanh => {
+                self.format.quantize((acc as f32 / (scale * scale)).tanh()).code() as i8
             }
+            Activation::None => (acc as f32 / scale).round().clamp(-128.0, 127.0) as i8,
         }
     }
 
@@ -336,45 +357,18 @@ impl QuantizedNetwork {
     ///
     /// Panics on input shape mismatch.
     pub fn infer_logits(&self, input: &Tensor) -> Vec<i32> {
-        let mut map = self.quantize_input(input);
-        for (idx, stage) in self.layers.iter().enumerate() {
-            let last = idx + 1 == self.layers.len();
-            if last {
-                // Keep the final accumulators at full precision.
-                return match stage {
-                    QLayer::Dense(d) => {
-                        assert_eq!(map.codes.len(), d.inputs, "dense input size");
-                        (0..d.outputs)
-                            .map(|o| {
-                                let mut acc = d.bias[o];
-                                let row = &d.weights[o * d.inputs..(o + 1) * d.inputs];
-                                for (wv, xv) in row.iter().zip(&map.codes) {
-                                    acc += i32::from(*wv) * i32::from(*xv);
-                                }
-                                acc
-                            })
-                            .collect()
-                    }
-                    _ => {
-                        let out = self.run_stage(stage, &map);
-                        out.codes.iter().map(|&c| i32::from(c)).collect()
-                    }
-                };
-            }
-            map = self.run_stage(stage, &map);
+        let (last, hidden) = self.layers.split_last().expect("construction rejects empty networks");
+        let map = hidden.iter().fold(self.quantize_input(input), |map, s| self.run_stage(s, &map));
+        match last {
+            // Keep the final accumulators at full precision.
+            QLayer::Dense(d) => dense_accumulators(d, &map),
+            _ => self.run_stage(last, &map).codes.iter().map(|&c| i32::from(c)).collect(),
         }
-        map.codes.iter().map(|&c| i32::from(c)).collect()
     }
 
     /// Predicted class for one input.
     pub fn predict(&self, input: &Tensor) -> usize {
-        let logits = self.infer_logits(input);
-        let predicted = logits
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, &v)| (v, std::cmp::Reverse(*i)))
-            .map(|(i, _)| i)
-            .expect("non-empty logits");
+        let predicted = argmax(&self.infer_logits(input));
         trace::emit(|| trace::Event::Inference { predicted: predicted as u32 });
         predicted
     }
@@ -394,6 +388,26 @@ impl QuantizedNetwork {
         }
         correct as f64 / total as f64
     }
+}
+
+/// The final accumulator of every output of dense stage `d`.
+fn dense_accumulators(d: &QDense, input: &CodeMap) -> Vec<i32> {
+    assert_eq!(input.codes.len(), d.inputs, "dense input size");
+    (0..d.outputs).map(|o| d.accumulate(&input.codes, o)).collect()
+}
+
+/// Index of the largest logit; the lowest such index on ties.
+///
+/// # Panics
+///
+/// Panics if `logits` is empty.
+pub fn argmax(logits: &[i32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by_key(|(i, &v)| (v, std::cmp::Reverse(*i)))
+        .map(|(i, _)| i)
+        .expect("non-empty logits")
 }
 
 fn run_pool(window: usize, input: &CodeMap) -> CodeMap {
@@ -471,8 +485,10 @@ impl QuantizedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::MalformedModel`] on truncation, bad magic or
-    /// inconsistent geometry.
+    /// Returns [`QuantError::MalformedModel`] on truncation, bad magic,
+    /// inconsistent geometry, no stages, or a stage chain that does not fit
+    /// the input shape. Never panics, whatever the bytes: a decoded model
+    /// runs [`Self::infer_logits`] on any input of its shape.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, QuantError> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(4)? != MODEL_MAGIC {
@@ -484,13 +500,15 @@ impl QuantizedNetwork {
             return Err(QuantError::MalformedModel("bad format".into()));
         }
         let format = QFormat::new(signed, frac);
+        // Counts come from the file: grow the vectors as items decode
+        // rather than reserving what a corrupt count claims.
         let rank = r.usize_()?;
-        let mut input_shape = Vec::with_capacity(rank);
+        let mut input_shape = Vec::new();
         for _ in 0..rank {
             input_shape.push(r.usize_()?);
         }
         let n_layers = r.usize_()?;
-        let mut layers = Vec::with_capacity(n_layers);
+        let mut layers = Vec::new();
         for _ in 0..n_layers {
             match r.u8()? {
                 0 => {
@@ -501,9 +519,8 @@ impl QuantizedNetwork {
                     let activation = if r.u8()? != 0 { Activation::Tanh } else { Activation::None };
                     let weights = r.i8s()?;
                     let bias = r.i32s()?;
-                    if weights.len() != out_channels * in_channels * kernel * kernel
-                        || bias.len() != out_channels
-                    {
+                    let taps = checked_product(&[out_channels, in_channels, kernel, kernel]);
+                    if taps != Some(weights.len()) || bias.len() != out_channels {
                         return Err(QuantError::MalformedModel("conv geometry".into()));
                     }
                     layers.push(QLayer::Conv(QConv {
@@ -528,7 +545,9 @@ impl QuantizedNetwork {
                     let activation = if r.u8()? != 0 { Activation::Tanh } else { Activation::None };
                     let weights = r.i8s()?;
                     let bias = r.i32s()?;
-                    if weights.len() != inputs * outputs || bias.len() != outputs {
+                    if checked_product(&[inputs, outputs]) != Some(weights.len())
+                        || bias.len() != outputs
+                    {
                         return Err(QuantError::MalformedModel("dense geometry".into()));
                     }
                     layers.push(QLayer::Dense(QDense {
@@ -545,8 +564,53 @@ impl QuantizedNetwork {
                 }
             }
         }
+        if layers.is_empty() {
+            return Err(QuantError::MalformedModel("network has no stages".into()));
+        }
+        check_chain(&input_shape, &layers)?;
         Ok(QuantizedNetwork { format, input_shape, layers })
     }
+}
+
+/// Largest feature map, in codes, a decoded model may declare (the blob
+/// limit of [`Reader::i8s`]).
+const MAX_CODES: usize = 1 << 28;
+
+/// The product of `dims`, or `None` on overflow.
+fn checked_product(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
+}
+
+/// Checks that each stage accepts the map the previous one produces,
+/// starting from `input_shape` (conv kernels and pool windows non-zero and
+/// fitting the map), and that every map has at least one dimension and
+/// between 1 and [`MAX_CODES`] codes.
+fn check_chain(input_shape: &[usize], layers: &[QLayer]) -> Result<(), QuantError> {
+    let check_size = |shape: &[usize]| match checked_product(shape) {
+        Some(n) if !shape.is_empty() && (1..=MAX_CODES).contains(&n) => Ok(()),
+        _ => Err(QuantError::MalformedModel(format!("feature map {shape:?}"))),
+    };
+    let misfit = |name: &str| QuantError::MalformedModel(format!("{name} does not fit its input"));
+    let mut shape = input_shape.to_vec();
+    check_size(&shape)?;
+    for layer in layers {
+        shape = match (layer, &shape[..]) {
+            (QLayer::Conv(c), &[ch, h, w])
+                if ch == c.in_channels && (1..=h.min(w)).contains(&c.kernel) =>
+            {
+                vec![c.out_channels, h - c.kernel + 1, w - c.kernel + 1]
+            }
+            (&QLayer::MaxPool { window, .. }, &[ch, h, w])
+                if window > 0 && h % window == 0 && w % window == 0 =>
+            {
+                vec![ch, h / window, w / window]
+            }
+            (QLayer::Dense(d), _) if checked_product(&shape) == Some(d.inputs) => vec![d.outputs],
+            _ => return Err(misfit(layer.name())),
+        };
+        check_size(&shape)?;
+    }
+    Ok(())
 }
 
 fn push_usize(out: &mut Vec<u8>, v: usize) {
@@ -577,7 +641,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], QuantError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(QuantError::MalformedModel("truncated".into()));
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -625,6 +689,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{Conv2d, Dense, MaxPool2d, Tanh};
     use crate::lenet::lenet5;
     use crate::network::Sequential;
     use rand::rngs::StdRng;
@@ -688,16 +753,78 @@ mod tests {
         bad_magic[0] = b'X';
         assert!(QuantizedNetwork::from_bytes(&bad_magic).is_err(), "magic");
         assert!(QuantizedNetwork::from_bytes(&[]).is_err(), "empty");
+        // Bit 62 of `rank`, the u64 after the magic and the format bytes.
+        let mut huge_rank = bytes.clone();
+        huge_rank[6 + 7] ^= 1 << 6;
+        assert!(QuantizedNetwork::from_bytes(&huge_rank).is_err(), "rank");
+    }
+
+    #[test]
+    fn codec_rejects_a_pool_window_that_breaks_the_chain() {
+        let (_, q) = quantized_lenet(5);
+        let mut widened = q.clone();
+        match &mut widened.layers[1] {
+            QLayer::MaxPool { window, .. } => *window = 3,
+            other => panic!("expected pool1, got {other:?}"),
+        }
+        let flipped_bits: u32 =
+            q.to_bytes().iter().zip(widened.to_bytes()).map(|(a, b)| (a ^ b).count_ones()).sum();
+        assert_eq!(flipped_bits, 1, "window 2 -> 3 is a single bit flip");
+        assert!(matches!(
+            QuantizedNetwork::from_bytes(&widened.to_bytes()),
+            Err(QuantError::MalformedModel(_))
+        ));
+    }
+
+    #[test]
+    fn no_single_bit_flip_makes_decoding_or_inference_panic() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut net = Sequential::new("small");
+        net.push(Box::new(Conv2d::new("conv1", 1, 2, 3, &mut rng)));
+        net.push(Box::new(Tanh::new("t1")));
+        net.push(Box::new(MaxPool2d::new("pool1", 2)));
+        net.push(Box::new(Dense::new("fc1", 8, 3, &mut rng)));
+        let q = QuantizedNetwork::from_sequential(&net, &[1, 6, 6], QFormat::paper()).unwrap();
+        let bytes = q.to_bytes();
+        let mut decoded = 0usize;
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(model) = QuantizedNetwork::from_bytes(&flipped) {
+                model.infer_logits(&Tensor::zeros(model.input_shape()));
+                decoded += 1;
+            }
+        }
+        // Weight, bias and activation flips still decode.
+        assert!(decoded > bytes.len(), "only {decoded} flips decoded");
+    }
+
+    #[test]
+    fn empty_networks_are_rejected() {
+        let empty = Sequential::new("empty");
+        assert!(QuantizedNetwork::from_sequential(&empty, &[1, 28, 28], QFormat::paper()).is_err());
+        let (_, q) = quantized_lenet(5);
+        let stageless = QuantizedNetwork { layers: Vec::new(), ..q };
+        assert!(QuantizedNetwork::from_bytes(&stageless.to_bytes()).is_err());
+    }
+
+    #[test]
+    fn argmax_takes_the_lowest_index_on_ties() {
+        assert_eq!(argmax(&[3, 7, 7, -1]), 1);
+        assert_eq!(argmax(&[-9, -2, -5, -2]), 1);
+        assert_eq!(argmax(&[i32::MIN, i32::MIN]), 0);
+        assert_eq!(argmax(&[4]), 0);
     }
 
     #[test]
     fn tanh_code_saturates_and_is_monotone() {
         let (_, q) = quantized_lenet(1);
-        assert_eq!(q.tanh_code(1_000_000), q.format().quantize(1.0).code() as i8);
-        assert_eq!(q.tanh_code(-1_000_000), q.format().quantize(-1.0).code() as i8);
+        let tanh_code = |acc| q.requantize(acc, Activation::Tanh);
+        assert_eq!(tanh_code(1_000_000), q.format().quantize(1.0).code() as i8);
+        assert_eq!(tanh_code(-1_000_000), q.format().quantize(-1.0).code() as i8);
         let mut prev = i8::MIN;
         for acc in (-4096..4096).step_by(64) {
-            let c = q.tanh_code(acc);
+            let c = tanh_code(acc);
             assert!(c >= prev, "tanh code must be monotone");
             prev = c;
         }

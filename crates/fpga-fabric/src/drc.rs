@@ -126,7 +126,7 @@ impl std::fmt::Display for DrcReport {
 pub struct DrcPolicy {
     /// Escalate latch-broken feedback loops from advisories to errors —
     /// the FPGADefender-style self-oscillator scan the paper (§III-C,
-    /// refs [26][27]) names as the countermeasure that would catch its
+    /// refs \[26\]\[27\]) names as the countermeasure that would catch its
     /// latch-based striker.
     pub ban_latch_loops: bool,
 }

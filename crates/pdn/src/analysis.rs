@@ -86,7 +86,7 @@ impl GlitchWindow {
 /// Finds all maximal contiguous windows where the trace is below
 /// `v_threshold`.
 ///
-/// When a [`trace`](::trace) session is recording, each window is also
+/// When a [`trace`] session is recording, each window is also
 /// emitted as a `PdnGlitch` event carrying its nadir voltage in integer
 /// microvolts (rounded), so golden traces stay float-format independent.
 pub fn glitch_windows(trace: &Trace, v_threshold: f64) -> Vec<GlitchWindow> {

@@ -13,9 +13,9 @@ use accel::dsp::{DspOp, DspSlice};
 use accel::executor::{infer_with_faults, NoFaults};
 use accel::fault::{FaultModel, MacFault};
 use accel::pe::PeArray;
+use dnn::digits::{Dataset, RenderParams};
 use dnn::fixed::QFormat;
 use dnn::quant::QuantizedNetwork;
-use dnn::tensor::Tensor;
 use dnn::zoo::mlp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,10 +62,10 @@ fn statistical_executor_is_bit_exact_against_reference_when_clean() {
     let net = mlp(&mut StdRng::seed_from_u64(12));
     let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
     let mut rng = StdRng::seed_from_u64(0);
-    for k in 0..8 {
-        let x = Tensor::full(&[1, 28, 28], 0.05 + 0.1 * k as f32);
-        let (logits, tally) = infer_with_faults(&q, &x, &mut NoFaults, &mut rng);
-        assert_eq!(logits, q.infer_logits(&x));
+    let digits = Dataset::generate(8, &RenderParams::challenging(), &mut rng);
+    for (x, _) in digits.iter() {
+        let (logits, tally) = infer_with_faults(&q, x, &mut NoFaults, &mut rng);
+        assert_eq!(logits, q.infer_logits(x));
         assert_eq!(tally.total(), 0);
     }
 }
