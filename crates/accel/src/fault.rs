@@ -200,11 +200,8 @@ impl FaultModel {
     /// jitter included).
     pub fn safe_voltage(&self) -> f64 {
         let t = &self.timing;
-        // Need D_nom·f(v)·(1+j) ≤ B.
-        let needed_factor = t.budget_ps / (t.stage_delay_ps * (1.0 + t.jitter_frac));
-        // factor(v) = ((v_nom − v_th)/(v − v_th))^α  ⇒ invert.
-        let d = self.delay;
-        d.v_th + (d.v_nom - d.v_th) / needed_factor.powf(1.0 / d.alpha)
+        // Need D_nom·f(v)·(1+j) ≤ B: the worst-case jittered path at budget.
+        self.delay.fault_threshold_voltage(t.stage_delay_ps * (1.0 + t.jitter_frac), t.budget_ps)
     }
 
     /// Slack margin of the non-capture pipeline stages relative to the

@@ -7,7 +7,7 @@ use accel::pe::PeArray;
 use accel::schedule::{AccelConfig, Schedule};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deepstrike::cosim::{CloudFpga, CosimConfig};
-use deepstrike::profile::{segment_trace, SegmenterConfig};
+use deepstrike::profile::segment_trace;
 use dnn::fixed::QFormat;
 use dnn::quant::QuantizedNetwork;
 use dnn::zoo::mlp;
@@ -23,13 +23,7 @@ fn small_victim() -> QuantizedNetwork {
 fn bench_cosim_inference(c: &mut Criterion) {
     let victim = small_victim();
     let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
-    let mut fpga = CloudFpga::new(
-        &victim,
-        &accel,
-        8_000,
-        CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
-    )
-    .unwrap();
+    let mut fpga = CloudFpga::new(&victim, &accel, 8_000, CosimConfig { pdn_substeps: 4 }).unwrap();
     fpga.settle(50);
     let mut group = c.benchmark_group("cosim");
     group.sample_size(10);
@@ -42,17 +36,11 @@ fn bench_cosim_inference(c: &mut Criterion) {
 fn bench_profiling(c: &mut Criterion) {
     let victim = small_victim();
     let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
-    let mut fpga = CloudFpga::new(
-        &victim,
-        &accel,
-        8_000,
-        CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
-    )
-    .unwrap();
+    let mut fpga = CloudFpga::new(&victim, &accel, 8_000, CosimConfig { pdn_substeps: 4 }).unwrap();
     fpga.settle(50);
     let run = fpga.run_inference();
     c.bench_function("profile/segment_8k_samples", |b| {
-        b.iter(|| black_box(segment_trace(&run.tdc_trace, &SegmenterConfig::default()).len()));
+        b.iter(|| black_box(segment_trace(&run.tdc_trace).len()));
     });
 }
 

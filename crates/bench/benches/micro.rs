@@ -10,7 +10,7 @@ use accel::dsp::{DspOp, DspSlice};
 use accel::fault::FaultModel;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deepstrike::striker::StrikerBank;
-use deepstrike::tdc::{TdcConfig, TdcSensor};
+use deepstrike::tdc::TdcSensor;
 use dnn::fixed::QFormat;
 use dnn::layers::{Conv2d, Layer};
 use dnn::quant::QuantizedNetwork;
@@ -75,7 +75,7 @@ fn bench_conv(c: &mut Criterion) {
 
 fn bench_tdc(c: &mut Criterion) {
     c.bench_function("tdc/sample", |b| {
-        let mut tdc = TdcSensor::calibrated(TdcConfig::default(), 100.0, 90).unwrap();
+        let mut tdc = TdcSensor::calibrated().unwrap();
         b.iter(|| black_box(tdc.sample(black_box(0.97))));
     });
 }

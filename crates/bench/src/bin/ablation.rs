@@ -59,7 +59,7 @@ fn main() {
         let ops = (0..5_000).map(|i| DspOp { a: 100 + (i % 27), b: 120, d: 7 });
         let rate = pe.characterize(ops, v_min, &mut rng).total_fault_rate();
         // Heating if this strike repeated at a 50% duty cycle for 10 ms.
-        let mut thermal = ThermalModel::zynq_like();
+        let mut thermal = ThermalModel::new();
         let avg_power = energy_j / (on_cycles as f64 * 10e-9) * 0.5;
         thermal.step(avg_power + 1.0, 10e-3);
         (rate, format!("{on_cycles},{v_min:.4},{rate:.4},{:.2}", thermal.junction_temp()))

@@ -3,7 +3,7 @@
 
 use bench::emit_series;
 use deepstrike::striker::StrikerBank;
-use deepstrike::tdc::{TdcConfig, TdcSensor};
+use deepstrike::tdc::TdcSensor;
 use fpga_fabric::drc::{check, Rule, Severity};
 use fpga_fabric::netlist::Netlist;
 
@@ -22,10 +22,7 @@ fn main() {
     let designs: Vec<(&str, Netlist)> = vec![
         ("ring_oscillator_3stage", ring_oscillator(3)),
         ("power_striker_64cells", StrikerBank::new(64).expect("cells > 0").netlist()),
-        (
-            "tdc_sensor",
-            TdcSensor::calibrated(TdcConfig::default(), 100.0, 90).expect("calibration").netlist(),
-        ),
+        ("tdc_sensor", TdcSensor::calibrated().expect("calibration").netlist()),
     ];
 
     let mut rows = Vec::new();

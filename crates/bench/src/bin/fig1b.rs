@@ -10,7 +10,7 @@
 use accel::schedule::AccelConfig;
 use bench::emit_series;
 use deepstrike::cosim::{CloudFpga, CosimConfig};
-use deepstrike::profile::{segment_trace, SegmenterConfig};
+use deepstrike::profile::segment_trace;
 use dnn::fixed::QFormat;
 use dnn::layers::{Conv2d, MaxPool2d, Tanh};
 use dnn::network::Sequential;
@@ -42,7 +42,7 @@ fn main() {
     );
 
     // Per-phase statistics (the claims the paper draws from this figure).
-    let segments = segment_trace(&run.tdc_trace, &SegmenterConfig::default());
+    let segments = segment_trace(&run.tdc_trace);
     let names = ["maxpool", "conv3x3", "conv1x1"];
     emit_series(
         "Fig 1b phases: per-layer readout statistics",

@@ -9,7 +9,7 @@ use accel::schedule::AccelConfig;
 use bench::{emit_series, trained_lenet};
 use deepstrike::attack::SAMPLES_PER_CYCLE;
 use deepstrike::cosim::{CloudFpga, CosimConfig};
-use deepstrike::detector::{DetectorConfig, StartDetector};
+use deepstrike::detector::StartDetector;
 
 fn main() {
     let (q, _) = trained_lenet();
@@ -20,7 +20,7 @@ fn main() {
 
     // Re-derive the raw thermometer vectors from the counts (the encoder
     // is lossless for thermometer codes) and feed the detector.
-    let mut det = StartDetector::new(DetectorConfig::default()).expect("default config valid");
+    let mut det = StartDetector::new();
     let mut rows = Vec::new();
     let mut trigger_sample = None;
     for (i, &count) in run.tdc_trace.iter().enumerate() {

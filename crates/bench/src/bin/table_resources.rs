@@ -10,14 +10,14 @@ use accel::schedule::AccelConfig;
 use bench::{emit_series, trained_lenet};
 use deepstrike::hypervisor::{attacker_netlist, deploy, victim_netlist};
 use deepstrike::striker::StrikerBank;
-use deepstrike::tdc::{TdcConfig, TdcSensor};
+use deepstrike::tdc::TdcSensor;
 use fpga_fabric::device::Device;
 
 fn main() {
     let device = Device::zynq_7020();
     let accel = AccelConfig::default();
     let striker = StrikerBank::new(8_000).expect("cells > 0");
-    let tdc = TdcSensor::calibrated(TdcConfig::default(), 100.0, 90).expect("calibration");
+    let tdc = TdcSensor::calibrated().expect("calibration");
 
     let striker_usage = striker.resource_usage();
     let striker_util = device.utilization(&striker_usage);

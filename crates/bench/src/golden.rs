@@ -45,7 +45,7 @@ pub fn accel_config() -> AccelConfig {
 /// Co-simulation settings every golden scenario (and the chaos suite)
 /// uses.
 pub fn cosim_config() -> CosimConfig {
-    CosimConfig { pdn_substeps: 4, ..CosimConfig::default() }
+    CosimConfig { pdn_substeps: 4 }
 }
 
 /// The fig3/fig5b/remote victim: two dense layers on a 6×6 input, small

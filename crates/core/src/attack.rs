@@ -28,7 +28,7 @@ use std::ops::Range;
 
 use crate::cosim::{CloudFpga, InferenceRun};
 use crate::error::{DeepStrikeError, Result};
-use crate::profile::{segment_trace, SegmenterConfig, SignatureLibrary};
+use crate::profile::{segment_trace, SignatureLibrary};
 use crate::signal_ram::AttackScheme;
 
 /// TDC samples per victim cycle (200 MHz sensor vs 100 MHz victim clock).
@@ -88,9 +88,8 @@ pub fn profile_from_traces(traces: &[Vec<u8>], layer_names: &[&str]) -> Result<V
     let mut library = SignatureLibrary::new();
     let mut sums: Vec<(u64, u64)> = vec![(0, 0); layer_names.len()];
     let mut trigger_sum = 0u64;
-    let seg_config = SegmenterConfig::default();
     for tdc_trace in traces {
-        let segments = segment_trace(tdc_trace, &seg_config);
+        let segments = segment_trace(tdc_trace);
         if segments.len() != layer_names.len() {
             return Err(DeepStrikeError::LayerNotFound(format!(
                 "expected {} execution segments, found {}",
@@ -105,7 +104,7 @@ pub fn profile_from_traces(traces: &[Vec<u8>], layer_names: &[&str]) -> Result<V
             sums[i].0 += seg.start as u64 / SAMPLES_PER_CYCLE;
             sums[i].1 += seg.len as u64 / SAMPLES_PER_CYCLE;
         }
-        // The detector latches `debounce` samples into the first layer.
+        // The detector latches `DEBOUNCE` samples into the first layer.
         trigger_sum += segments[0].start as u64 / SAMPLES_PER_CYCLE + 2;
     }
     let n = traces.len() as u64;
@@ -550,13 +549,8 @@ mod tests {
     }
 
     fn platform(cells: usize, q: &QuantizedNetwork) -> CloudFpga {
-        let mut fpga = CloudFpga::new(
-            q,
-            &accel_config(),
-            cells,
-            CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
-        )
-        .unwrap();
+        let mut fpga =
+            CloudFpga::new(q, &accel_config(), cells, CosimConfig { pdn_substeps: 4 }).unwrap();
         fpga.settle(50);
         fpga
     }

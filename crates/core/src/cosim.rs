@@ -28,40 +28,32 @@ use pdn::thermal::ThermalModel;
 use uart::proto::StatusInfo;
 use uart::transport::ShellHandler;
 
-use crate::detector::{DetectorConfig, StartDetector};
+use crate::detector::StartDetector;
 use crate::error::Result;
 use crate::scheduler::AttackScheduler;
 use crate::signal_ram::{AttackScheme, SignalRam};
 use crate::striker::StrikerBank;
-use crate::tdc::{TdcConfig, TdcSensor};
+use crate::tdc::TdcSensor;
+
+/// Victim placement as a fraction of the die (x, y).
+const VICTIM_POS: (f64, f64) = (0.12, 0.5);
+/// Attacker placement as a fraction of the die (x, y).
+const ATTACKER_POS: (f64, f64) = (0.88, 0.5);
+/// TDC readout ring-buffer capacity for UART reads, in samples.
+const TRACE_CAPACITY: usize = 1 << 20;
+/// Warm-started mesh relaxation sweeps per PDN substep.
+const MESH_SWEEPS: usize = 2;
 
 /// Co-simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosimConfig {
     /// PDN integration substeps per victim cycle.
     pub pdn_substeps: usize,
-    /// Victim placement as a fraction of the die (x, y).
-    pub victim_pos: (f64, f64),
-    /// Attacker placement as a fraction of the die (x, y).
-    pub attacker_pos: (f64, f64),
-    /// TDC calibration target (the paper's ≈ 90).
-    pub tdc_target: u8,
-    /// TDC readout ring-buffer capacity for UART reads.
-    pub trace_capacity: usize,
-    /// Mesh relaxation sweeps per substep (warm-started).
-    pub relax_sweeps: usize,
 }
 
 impl Default for CosimConfig {
     fn default() -> Self {
-        CosimConfig {
-            pdn_substeps: 10,
-            victim_pos: (0.12, 0.5),
-            attacker_pos: (0.88, 0.5),
-            tdc_target: 90,
-            trace_capacity: 1 << 20,
-            relax_sweeps: 2,
-        }
+        CosimConfig { pdn_substeps: 10 }
     }
 }
 
@@ -151,18 +143,15 @@ impl CloudFpga {
         let schedule = Schedule::for_network(victim, accel_config);
         let pdn = SpatialPdn::new(
             LumpedPdn::zynq_like(),
-            GridParams { sweeps: config.relax_sweeps, ..GridParams::default() },
+            GridParams { sweeps: MESH_SWEEPS, ..GridParams::default() },
         )?;
-        let victim_node = pdn.node_at_fraction(config.victim_pos.0, config.victim_pos.1);
-        let attacker_node = pdn.node_at_fraction(config.attacker_pos.0, config.attacker_pos.1);
-        let tdc = TdcSensor::calibrated(TdcConfig::default(), 100.0, config.tdc_target)?;
+        let victim_node = pdn.node_at_fraction(VICTIM_POS.0, VICTIM_POS.1);
+        let attacker_node = pdn.node_at_fraction(ATTACKER_POS.0, ATTACKER_POS.1);
+        let tdc = TdcSensor::calibrated()?;
         let striker = StrikerBank::new(striker_cells)?;
         // Two RAMB36s: campaigns that target late layers (e.g. 4,500
         // strikes into FC1 behind a ~17k-cycle delay) compile to ~48k bits.
-        let scheduler = AttackScheduler::new(
-            StartDetector::new(DetectorConfig::default())?,
-            SignalRam::new(2)?,
-        );
+        let scheduler = AttackScheduler::new(StartDetector::new(), SignalRam::new(2)?);
         Ok(CloudFpga {
             config,
             schedule,
@@ -173,7 +162,7 @@ impl CloudFpga {
             tdc,
             striker,
             scheduler,
-            thermal: ThermalModel::zynq_like(),
+            thermal: ThermalModel::new(),
             bystanders: Vec::new(),
             trace_buf: VecDeque::new(),
         })
@@ -287,10 +276,7 @@ impl CloudFpga {
                     self.pdn.voltage_at(self.attacker_node).expect("attacker node is on the mesh");
                 let reading = self.tdc.sample(va);
                 rec.tdc_trace.push(reading.count);
-                if self.trace_buf.len() == self.config.trace_capacity {
-                    self.trace_buf.pop_front();
-                }
-                self.trace_buf.push_back(reading.count);
+                self.buffer_readout(reading.count);
                 rec.last_raw = Some(reading.raw);
             }
         }
@@ -303,6 +289,15 @@ impl CloudFpga {
         if let Some(powers) = rec.powers.as_mut() {
             powers.push(power);
         }
+    }
+
+    /// Appends one readout to the UART ring buffer, dropping the oldest
+    /// sample once it holds [`TRACE_CAPACITY`].
+    pub(crate) fn buffer_readout(&mut self, count: u8) {
+        if self.trace_buf.len() == TRACE_CAPACITY {
+            self.trace_buf.pop_front();
+        }
+        self.trace_buf.push_back(count);
     }
 
     /// Runs the post-loop conformance pass and packages the recording.
@@ -431,13 +426,8 @@ mod tests {
         let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
         let accel =
             AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
-        let mut fpga = CloudFpga::new(
-            &q,
-            &accel,
-            striker_cells,
-            CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
-        )
-        .unwrap();
+        let mut fpga =
+            CloudFpga::new(&q, &accel, striker_cells, CosimConfig { pdn_substeps: 4 }).unwrap();
         fpga.settle(50);
         fpga
     }

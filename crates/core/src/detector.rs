@@ -10,32 +10,21 @@
 //! (HW) equals to 3, indicating the first layer just starts". A debounce
 //! requirement filters the residual idle wobble.
 
-use crate::error::{DeepStrikeError, Result};
-
-/// Detector configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// Tap positions: one bit from each of the five zones of the 128-bit
-    /// TDC vector.
-    pub taps: [usize; 5],
-    /// Trigger when the tap Hamming weight falls to this value or below…
-    pub trigger_hw: u8,
-    /// …for this many consecutive samples.
-    pub debounce: u8,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        // Zones of ~25 bits; taps bracket the idle run length (≈ 90): the
-        // first four sit below it (idle HW = 4), the fifth above.
-        DetectorConfig { taps: [12, 38, 64, 85, 110], trigger_hw: 3, debounce: 3 }
-    }
-}
+/// Tap positions: one bit from each of the five ~25-bit zones of the
+/// 128-bit TDC vector. They bracket the idle readout
+/// [`TARGET_COUNT`](crate::tdc::TARGET_COUNT) = 90: the first four sit
+/// below it (idle HW = 4), the fifth above.
+const TAPS: [usize; 5] = [12, 38, 64, 85, 110];
+/// Trigger when the tap Hamming weight falls to this value or below…
+const TRIGGER_HW: u8 = 3;
+/// …for this many consecutive samples.
+pub const DEBOUNCE: u8 = 3;
 
 /// Detector state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DetectorState {
     /// Watching for the HW to fall.
+    #[default]
     Idle,
     /// HW at/below the trigger for `n` consecutive samples.
     Candidate(u8),
@@ -48,9 +37,9 @@ pub enum DetectorState {
 /// # Example
 ///
 /// ```
-/// use deepstrike::detector::{DetectorConfig, StartDetector};
+/// use deepstrike::detector::StartDetector;
 ///
-/// let mut det = StartDetector::new(DetectorConfig::default())?;
+/// let mut det = StartDetector::new();
 /// let idle = (1u128 << 90) - 1;    // readout 90
 /// let active = (1u128 << 60) - 1;  // readout 60 (conv droop)
 /// assert!(!det.push(idle));
@@ -58,11 +47,9 @@ pub enum DetectorState {
 ///     det.push(active);
 /// }
 /// assert!(det.is_triggered());
-/// # Ok::<(), deepstrike::DeepStrikeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StartDetector {
-    config: DetectorConfig,
     state: DetectorState,
     samples_seen: u64,
     triggered_at: Option<u64>,
@@ -71,36 +58,8 @@ pub struct StartDetector {
 
 impl StartDetector {
     /// Creates an idle detector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepStrikeError::InvalidConfig`] for out-of-range taps,
-    /// non-ascending taps, a trigger weight above 5 or zero debounce.
-    pub fn new(config: DetectorConfig) -> Result<Self> {
-        if config.taps.iter().any(|&t| t >= 128) {
-            return Err(DeepStrikeError::InvalidConfig("taps must be below 128".into()));
-        }
-        if config.taps.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(DeepStrikeError::InvalidConfig("taps must be strictly ascending".into()));
-        }
-        if config.trigger_hw > 5 {
-            return Err(DeepStrikeError::InvalidConfig("trigger weight exceeds 5 taps".into()));
-        }
-        if config.debounce == 0 {
-            return Err(DeepStrikeError::InvalidConfig("debounce must be at least 1".into()));
-        }
-        Ok(StartDetector {
-            config,
-            state: DetectorState::Idle,
-            samples_seen: 0,
-            triggered_at: None,
-            last_hw: None,
-        })
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
+    pub fn new() -> Self {
+        StartDetector::default()
     }
 
     /// Current FSM state.
@@ -120,7 +79,7 @@ impl StartDetector {
 
     /// Hamming weight of the five tapped bits of a raw TDC vector.
     pub fn hamming_weight(&self, raw: u128) -> u8 {
-        self.config.taps.iter().filter(|&&t| raw >> t & 1 == 1).count() as u8
+        TAPS.iter().filter(|&&t| raw >> t & 1 == 1).count() as u8
     }
 
     /// Feeds one raw TDC sample; returns `true` exactly once, on the
@@ -132,13 +91,13 @@ impl StartDetector {
             self.last_hw = Some(hw);
             trace::emit(|| trace::Event::DetectorHw { sample: self.samples_seen - 1, hw });
         }
-        let low = hw <= self.config.trigger_hw;
+        let low = hw <= TRIGGER_HW;
         self.state = match self.state {
             DetectorState::Triggered => DetectorState::Triggered,
             DetectorState::Idle if low => DetectorState::Candidate(1),
             DetectorState::Idle => DetectorState::Idle,
             DetectorState::Candidate(n) if low => {
-                if n + 1 >= self.config.debounce {
+                if n + 1 >= DEBOUNCE {
                     self.triggered_at = Some(self.samples_seen - 1);
                     trace::emit(|| trace::Event::DetectorLatch { sample: self.samples_seen - 1 });
                     DetectorState::Triggered
@@ -153,15 +112,11 @@ impl StartDetector {
 
     /// Re-arms the detector for the next inference.
     pub fn reset(&mut self) {
-        self.state = DetectorState::Idle;
-        self.triggered_at = None;
-        self.samples_seen = 0;
-        self.last_hw = None;
+        *self = StartDetector::new();
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -173,23 +128,20 @@ mod tests {
         }
     }
 
-    fn detector() -> StartDetector {
-        StartDetector::new(DetectorConfig::default()).unwrap()
-    }
-
     #[test]
     fn idle_readout_has_hw_4_and_never_triggers() {
-        let mut det = detector();
+        let mut det = StartDetector::new();
+        let idle = thermometer(usize::from(crate::tdc::TARGET_COUNT));
         for _ in 0..1000 {
-            assert!(!det.push(thermometer(90)));
+            assert!(!det.push(idle));
         }
-        assert_eq!(det.hamming_weight(thermometer(90)), 4);
+        assert_eq!(det.hamming_weight(idle), 4);
         assert_eq!(det.state(), DetectorState::Idle);
     }
 
     #[test]
     fn idle_wobble_of_two_counts_is_ignored() {
-        let mut det = detector();
+        let mut det = StartDetector::new();
         // Dither between 88 and 92: all taps below 85 stay set.
         for k in 0..500usize {
             let count = 88 + (k % 5);
@@ -200,7 +152,7 @@ mod tests {
 
     #[test]
     fn sustained_droop_triggers_after_debounce() {
-        let mut det = detector();
+        let mut det = StartDetector::new();
         det.push(thermometer(90));
         assert!(!det.push(thermometer(70))); // HW 3: candidate 1
         assert!(!det.push(thermometer(70))); // candidate 2
@@ -213,7 +165,7 @@ mod tests {
 
     #[test]
     fn single_sample_glitch_is_debounced_away() {
-        let mut det = detector();
+        let mut det = StartDetector::new();
         det.push(thermometer(90));
         det.push(thermometer(70)); // candidate
         det.push(thermometer(90)); // back to idle
@@ -225,7 +177,7 @@ mod tests {
 
     #[test]
     fn deeper_droop_lowers_hamming_weight_progressively() {
-        let det = detector();
+        let det = StartDetector::new();
         assert_eq!(det.hamming_weight(thermometer(120)), 5);
         assert_eq!(det.hamming_weight(thermometer(90)), 4);
         assert_eq!(det.hamming_weight(thermometer(70)), 3);
@@ -236,7 +188,7 @@ mod tests {
 
     #[test]
     fn reset_rearms() {
-        let mut det = detector();
+        let mut det = StartDetector::new();
         for _ in 0..5 {
             det.push(thermometer(60));
         }
@@ -248,17 +200,5 @@ mod tests {
             det.push(thermometer(60));
         }
         assert!(det.is_triggered(), "triggers again after reset");
-    }
-
-    #[test]
-    fn invalid_configurations_rejected() {
-        let bad = DetectorConfig { taps: [0, 1, 2, 3, 200], ..DetectorConfig::default() };
-        assert!(StartDetector::new(bad).is_err());
-        let bad = DetectorConfig { taps: [5, 5, 6, 7, 8], ..DetectorConfig::default() };
-        assert!(StartDetector::new(bad).is_err());
-        let bad = DetectorConfig { trigger_hw: 6, ..DetectorConfig::default() };
-        assert!(StartDetector::new(bad).is_err());
-        let bad = DetectorConfig { debounce: 0, ..DetectorConfig::default() };
-        assert!(StartDetector::new(bad).is_err());
     }
 }

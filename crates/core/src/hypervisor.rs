@@ -121,11 +121,10 @@ pub fn deploy_with_policy(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::tdc::TdcConfig;
     use fpga_fabric::FabricError;
 
     fn tdc() -> TdcSensor {
-        TdcSensor::calibrated(TdcConfig::default(), 100.0, 90).unwrap()
+        TdcSensor::calibrated().unwrap()
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! between layers.
 
 use crate::error::{DeepStrikeError, Result};
+use crate::tdc::TARGET_COUNT;
 
 /// One active execution phase found in a TDC trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,42 +33,32 @@ impl Segment {
     }
 }
 
-/// Segmentation parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SegmenterConfig {
-    /// The idle readout level (the calibrated ≈ 90).
-    pub idle_level: f64,
-    /// A sample is "active" when below `idle_level - droop_threshold`.
-    pub droop_threshold: f64,
-    /// Discard active runs shorter than this (noise blips).
-    pub min_len: usize,
-    /// Merge active runs separated by gaps shorter than this (brief
-    /// within-layer returns toward idle).
-    pub merge_gap: usize,
-}
-
-impl Default for SegmenterConfig {
-    fn default() -> Self {
-        SegmenterConfig { idle_level: 90.0, droop_threshold: 4.0, min_len: 20, merge_gap: 120 }
-    }
-}
+/// A sample is "active" when it reads more than this many counts below
+/// the idle readout [`TARGET_COUNT`].
+const DROOP_THRESHOLD: f64 = 4.0;
+/// Active runs shorter than this many samples are discarded (noise
+/// blips).
+const MIN_SEGMENT_LEN: usize = 20;
+/// Active runs separated by gaps of at most this many samples are merged
+/// (brief within-layer returns toward idle).
+const MERGE_GAP: usize = 120;
 
 /// Splits a TDC readout trace into execution segments.
 ///
 /// # Example
 ///
 /// ```
-/// use deepstrike::profile::{segment_trace, SegmenterConfig};
+/// use deepstrike::profile::segment_trace;
 ///
 /// let mut trace = vec![90u8; 100];
 /// for s in trace.iter_mut().skip(30).take(40) { *s = 70; }
-/// let segs = segment_trace(&trace, &SegmenterConfig::default());
+/// let segs = segment_trace(&trace);
 /// assert_eq!(segs.len(), 1);
 /// assert_eq!(segs[0].start, 30);
 /// assert_eq!(segs[0].len, 40);
 /// ```
-pub fn segment_trace(samples: &[u8], config: &SegmenterConfig) -> Vec<Segment> {
-    let threshold = config.idle_level - config.droop_threshold;
+pub fn segment_trace(samples: &[u8]) -> Vec<Segment> {
+    let threshold = f64::from(TARGET_COUNT) - DROOP_THRESHOLD;
     // Raw active runs.
     let mut runs: Vec<(usize, usize)> = Vec::new();
     let mut start: Option<usize> = None;
@@ -87,13 +78,13 @@ pub fn segment_trace(samples: &[u8], config: &SegmenterConfig) -> Vec<Segment> {
     let mut merged: Vec<(usize, usize)> = Vec::new();
     for (s, e) in runs {
         match merged.last_mut() {
-            Some((_, prev_end)) if s - *prev_end <= config.merge_gap => *prev_end = e,
+            Some((_, prev_end)) if s - *prev_end <= MERGE_GAP => *prev_end = e,
             _ => merged.push((s, e)),
         }
     }
     merged
         .into_iter()
-        .filter(|(s, e)| e - s >= config.min_len)
+        .filter(|(s, e)| e - s >= MIN_SEGMENT_LEN)
         .map(|(s, e)| {
             let window = &samples[s..e];
             let mean = window.iter().map(|&v| f64::from(v)).sum::<f64>() / window.len() as f64;
@@ -209,7 +200,7 @@ mod tests {
     #[test]
     fn finds_multiple_segments_with_stats() {
         let trace = synth_trace(&[(100, 300, 70, 6.0), (600, 150, 80, 1.0)]);
-        let segs = segment_trace(&trace, &SegmenterConfig::default());
+        let segs = segment_trace(&trace);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].start, 100);
         assert!((295..=305).contains(&segs[0].len));
@@ -231,7 +222,7 @@ mod tests {
         for s in trace.iter_mut().skip(300).take(60) {
             *s = 72;
         }
-        let segs = segment_trace(&trace, &SegmenterConfig::default());
+        let segs = segment_trace(&trace);
         assert_eq!(segs.len(), 1, "{segs:?}");
         assert_eq!(segs[0].start, 200);
         assert_eq!(segs[0].end(), 360);
@@ -239,8 +230,8 @@ mod tests {
 
     #[test]
     fn empty_and_idle_traces_yield_nothing() {
-        assert!(segment_trace(&[], &SegmenterConfig::default()).is_empty());
-        assert!(segment_trace(&[90u8; 1000], &SegmenterConfig::default()).is_empty());
+        assert!(segment_trace(&[]).is_empty());
+        assert!(segment_trace(&[TARGET_COUNT; 1000]).is_empty());
     }
 
     #[test]
@@ -249,7 +240,7 @@ mod tests {
         for s in trace.iter_mut().skip(60) {
             *s = 70;
         }
-        let segs = segment_trace(&trace, &SegmenterConfig::default());
+        let segs = segment_trace(&trace);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].end(), 100);
     }

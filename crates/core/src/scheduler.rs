@@ -16,11 +16,11 @@ use crate::signal_ram::{AttackScheme, SignalRam};
 /// # Example
 ///
 /// ```
-/// use deepstrike::detector::{DetectorConfig, StartDetector};
+/// use deepstrike::detector::StartDetector;
 /// use deepstrike::scheduler::AttackScheduler;
 /// use deepstrike::signal_ram::{AttackScheme, SignalRam};
 ///
-/// let det = StartDetector::new(DetectorConfig::default())?;
+/// let det = StartDetector::new();
 /// let ram = SignalRam::new(1)?;
 /// let mut sched = AttackScheduler::new(det, ram);
 /// sched.load_scheme(&AttackScheme::single(0))?;
@@ -183,7 +183,6 @@ impl AttackScheduler {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::detector::DetectorConfig;
 
     fn thermometer(count: usize) -> u128 {
         if count >= 128 {
@@ -194,7 +193,7 @@ mod tests {
     }
 
     fn scheduler() -> AttackScheduler {
-        let det = StartDetector::new(DetectorConfig::default()).unwrap();
+        let det = StartDetector::new();
         let ram = SignalRam::new(1).unwrap();
         AttackScheduler::new(det, ram)
     }

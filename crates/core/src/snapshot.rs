@@ -519,10 +519,7 @@ impl RunMemo {
                     // Append the readout samples with the same capacity
                     // trimming the live loop performs.
                     for &sample in &entry.run.tdc_trace {
-                        if fpga.trace_buf.len() == fpga.config.trace_capacity {
-                            fpga.trace_buf.pop_front();
-                        }
-                        fpga.trace_buf.push_back(sample);
+                        fpga.buffer_readout(sample);
                     }
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return entry.run.clone();
@@ -570,13 +567,8 @@ mod tests {
             .expect("mlp quantises");
         let accel =
             AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
-        let mut fpga = CloudFpga::new(
-            &q,
-            &accel,
-            striker_cells,
-            CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
-        )
-        .expect("platform assembles");
+        let mut fpga = CloudFpga::new(&q, &accel, striker_cells, CosimConfig { pdn_substeps: 4 })
+            .expect("platform assembles");
         fpga.settle(50);
         fpga
     }

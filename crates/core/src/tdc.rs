@@ -7,9 +7,10 @@
 //! thermometer vector — a run of consecutive `1`s followed by `0`s — says
 //! how far the edge travelled in θ; since propagation delay depends on the
 //! rail voltage, the encoder's popcount (128 bits → one byte) is a live
-//! voltage probe. The paper's configuration: `F_dr = 200 MHz`,
-//! `L_LUT = 4`, `L_CARRY = 128`, θ calibrated so the readout is ≈ 90 at
-//! nominal voltage.
+//! voltage probe. The sensor is built at the paper's one operating point,
+//! fixed as constants: `F_dr = 200 MHz`, `L_LUT = 4`, `L_CARRY = 128`, θ
+//! calibrated so the readout is ≈ 90 at nominal voltage
+//! ([`TARGET_COUNT`]).
 
 use fpga_fabric::clock::{ClockSpec, Mmcm};
 use fpga_fabric::netlist::Netlist;
@@ -18,32 +19,26 @@ use pdn::delay::DelayModel;
 
 use crate::error::{DeepStrikeError, Result};
 
-/// TDC structural configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TdcConfig {
-    /// Driving/sampling clock frequency in MHz.
-    pub f_dr_mhz: f64,
-    /// LUT delay-line length.
-    pub l_lut: usize,
-    /// Carry-chain length (= output register count).
-    pub l_carry: usize,
-    /// Measurement dither amplitude in carry stages (models launch/sample
-    /// clock jitter; 0 disables).
-    pub dither_stages: f64,
-}
-
-impl Default for TdcConfig {
-    fn default() -> Self {
-        // The paper's exact configuration.
-        TdcConfig { f_dr_mhz: 200.0, l_lut: 4, l_carry: 128, dither_stages: 0.8 }
-    }
-}
+/// Driving and sampling clock frequency `F_dr` in MHz.
+const F_DR_MHZ: f64 = 200.0;
+/// LUT delay-line length `L_LUT`.
+const L_LUT: usize = 4;
+/// Carry-chain length `L_CARRY` (= capture register count).
+const L_CARRY: usize = 128;
+/// The calibrated idle readout: θ is tuned so the nominal-voltage count
+/// is this many `1`s. The start detector's taps and the profiler's idle
+/// level are both placed against it.
+pub const TARGET_COUNT: u8 = 90;
+/// Board reference clock feeding the MMCM, in MHz.
+const REF_CLOCK_MHZ: f64 = 100.0;
+/// Measurement dither amplitude in carry stages (models launch/sample
+/// clock jitter).
+const DITHER_STAGES: f64 = 0.8;
 
 /// One captured sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TdcReading {
-    /// Raw thermometer vector, bit `i` = carry tap `i` (LSB first). Only
-    /// meaningful for `l_carry <= 128`.
+    /// Raw thermometer vector, bit `i` = carry tap `i` (LSB first).
     pub raw: u128,
     /// Encoder output: number of `1`s, saturated to `u8`.
     pub count: u8,
@@ -54,71 +49,56 @@ pub struct TdcReading {
 /// # Example
 ///
 /// ```
-/// use deepstrike::tdc::{TdcConfig, TdcSensor};
+/// use deepstrike::tdc::{TdcSensor, TARGET_COUNT};
 ///
-/// let mut tdc = TdcSensor::calibrated(TdcConfig::default(), 100.0, 90)?;
+/// let mut tdc = TdcSensor::calibrated()?;
 /// let nominal = tdc.sample(1.0);
-/// assert!((i32::from(nominal.count) - 90).abs() <= 2);
+/// assert!((i32::from(nominal.count) - i32::from(TARGET_COUNT)).abs() <= 2);
 /// let drooped = tdc.sample(0.92);
 /// assert!(drooped.count < nominal.count, "droop slows the edge");
 /// # Ok::<(), deepstrike::DeepStrikeError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TdcSensor {
-    config: TdcConfig,
     launch: ClockSpec,
     sample_clock: ClockSpec,
     delay_model: DelayModel,
+    /// Dither amplitude in carry stages; calibration probes run with 0.
+    dither_stages: f64,
     sample_counter: u64,
     samples_taken: u64,
 }
 
 impl TdcSensor {
     /// Builds a sensor with an explicit phase offset θ (degrees).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepStrikeError::Fabric`] if the clock-management tile
-    /// cannot synthesise the requested pair, or
-    /// [`DeepStrikeError::InvalidConfig`] for degenerate geometry.
-    pub fn with_theta(config: TdcConfig, ref_clock_mhz: f64, theta_deg: f64) -> Result<Self> {
-        if config.l_lut == 0 || config.l_carry == 0 || config.l_carry > 128 {
-            return Err(DeepStrikeError::InvalidConfig(
-                "delay-line lengths must be 1..=128".into(),
-            ));
-        }
-        let mmcm = Mmcm::lock_default(ref_clock_mhz)?;
-        let (launch, sample_clock) = mmcm.derive_pair(config.f_dr_mhz, theta_deg)?;
+    fn with_theta(theta_deg: f64) -> Result<Self> {
+        let mmcm = Mmcm::lock_default(REF_CLOCK_MHZ)?;
+        let (launch, sample_clock) = mmcm.derive_pair(F_DR_MHZ, theta_deg)?;
         Ok(TdcSensor {
-            config,
             launch,
             sample_clock,
             delay_model: DelayModel::default(),
+            dither_stages: DITHER_STAGES,
             sample_counter: 0,
             samples_taken: 0,
         })
     }
 
     /// Builds a sensor and calibrates θ so the nominal-voltage readout is
-    /// `target_count` (the paper calibrates to ≈ 90 consecutive `1`s).
+    /// [`TARGET_COUNT`].
     ///
     /// # Errors
     ///
-    /// As [`TdcSensor::with_theta`], plus [`DeepStrikeError::Calibration`]
-    /// if no phase setting reaches the target within ±3 counts.
-    pub fn calibrated(config: TdcConfig, ref_clock_mhz: f64, target_count: u8) -> Result<Self> {
-        if usize::from(target_count) >= config.l_carry {
-            return Err(DeepStrikeError::Calibration(format!(
-                "target count {target_count} exceeds carry length {}",
-                config.l_carry
-            )));
-        }
-        // Analytic seed: θ_ps such that the edge reaches `target_count`
+    /// Returns [`DeepStrikeError::Fabric`] if the clock-management tile
+    /// cannot synthesise the clock pair, or
+    /// [`DeepStrikeError::Calibration`] if no phase setting reaches the
+    /// target within ±3 counts.
+    pub fn calibrated() -> Result<Self> {
+        // Analytic seed: θ_ps such that the edge reaches `TARGET_COUNT`
         // stages at nominal voltage, then a local search over the phase
         // grid to absorb MMCM quantisation.
-        let ideal_ps =
-            Self::lut_delay_ps(&config) * 1.0 + target_count as f64 * Carry4::per_stage_delay_ps();
-        let period_ps = 1.0e6 / config.f_dr_mhz;
+        let ideal_ps = Self::lut_delay_ps() + TARGET_COUNT as f64 * Carry4::per_stage_delay_ps();
+        let period_ps = 1.0e6 / F_DR_MHZ;
         let seed_deg = ideal_ps / period_ps * 360.0;
         let mut best: Option<(f64, i32)> = None;
         for step in -40..=40 {
@@ -126,30 +106,25 @@ impl TdcSensor {
             if !(0.0..360.0).contains(&theta) {
                 continue;
             }
-            let mut probe = TdcSensor::with_theta(config, ref_clock_mhz, theta)?;
-            probe.config.dither_stages = 0.0;
+            let mut probe = TdcSensor::with_theta(theta)?;
+            probe.dither_stages = 0.0;
             let got = i32::from(probe.sample(probe.delay_model.v_nom).count);
-            let err = (got - i32::from(target_count)).abs();
+            let err = (got - i32::from(TARGET_COUNT)).abs();
             if best.is_none_or(|(_, e)| err < e) {
                 best = Some((theta, err));
             }
         }
         match best {
-            Some((theta, err)) if err <= 3 => TdcSensor::with_theta(config, ref_clock_mhz, theta),
+            Some((theta, err)) if err <= 3 => TdcSensor::with_theta(theta),
             _ => Err(DeepStrikeError::Calibration(format!(
-                "no phase reaches count {target_count} (best error {:?})",
+                "no phase reaches count {TARGET_COUNT} (best error {:?})",
                 best.map(|(_, e)| e)
             ))),
         }
     }
 
-    fn lut_delay_ps(config: &TdcConfig) -> f64 {
-        config.l_lut as f64 * PrimitiveKind::Lut6.nominal_delay_ps()
-    }
-
-    /// Structural configuration.
-    pub fn config(&self) -> &TdcConfig {
-        &self.config
+    fn lut_delay_ps() -> f64 {
+        L_LUT as f64 * PrimitiveKind::Lut6.nominal_delay_ps()
     }
 
     /// Achieved launch clock.
@@ -180,17 +155,17 @@ impl TdcSensor {
     pub fn sample(&mut self, voltage: f64) -> TdcReading {
         let factor = self.delay_model.factor(voltage);
         let theta_ps = self.sample_clock.phase_ps();
-        let lut_ps = Self::lut_delay_ps(&self.config) * factor;
+        let lut_ps = Self::lut_delay_ps() * factor;
         let stage_ps = Carry4::per_stage_delay_ps() * factor;
         let mut stages = ((theta_ps - lut_ps) / stage_ps).max(0.0);
-        if self.config.dither_stages > 0.0 {
+        if self.dither_stages > 0.0 {
             // Deterministic triangular dither from a weyl sequence.
             self.sample_counter = self.sample_counter.wrapping_add(1);
             let u = (self.sample_counter.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64
                 / (1u64 << 53) as f64;
-            stages += (u * 2.0 - 1.0) * self.config.dither_stages;
+            stages += (u * 2.0 - 1.0) * self.dither_stages;
         }
-        let n = (stages.round().max(0.0) as usize).min(self.config.l_carry);
+        let n = (stages.round().max(0.0) as usize).min(L_CARRY);
         let raw = if n == 0 {
             0
         } else if n >= 128 {
@@ -212,14 +187,14 @@ impl TdcSensor {
     pub fn netlist(&self) -> Netlist {
         let mut n = Netlist::new("tdc_sensor");
         let mut prev = None;
-        for i in 0..self.config.l_lut {
+        for i in 0..L_LUT {
             let lut = n.add_cell(&format!("dl_lut{i}"), PrimitiveKind::Lut6, None);
             if let Some(p) = prev {
                 n.connect(n.output_of(p), n.input_of(lut, 0)).expect("fresh pins");
             }
             prev = Some(lut);
         }
-        let carry_blocks = self.config.l_carry.div_ceil(4);
+        let carry_blocks = L_CARRY.div_ceil(4);
         let mut prev_carry = prev;
         for i in 0..carry_blocks {
             let c = n.add_cell(&format!("dl_carry{i}"), PrimitiveKind::Carry4, None);
@@ -233,7 +208,7 @@ impl TdcSensor {
             prev_carry = Some(c);
         }
         // Encoder: a popcount tree, roughly one LUT per 3 taps.
-        for i in 0..self.config.l_carry.div_ceil(3) {
+        for i in 0..L_CARRY.div_ceil(3) {
             n.add_cell(&format!("enc{i}"), PrimitiveKind::Lut6, None);
         }
         n
@@ -247,7 +222,7 @@ mod tests {
     use fpga_fabric::drc;
 
     fn sensor() -> TdcSensor {
-        TdcSensor::calibrated(TdcConfig::default(), 100.0, 90).expect("calibration")
+        TdcSensor::calibrated().expect("calibration")
     }
 
     #[test]
@@ -264,7 +239,7 @@ mod tests {
     #[test]
     fn readout_decreases_monotonically_with_droop() {
         let mut tdc = sensor();
-        tdc.config.dither_stages = 0.0;
+        tdc.dither_stages = 0.0;
         let mut prev = u8::MAX;
         for mv in (700..=1000).rev().step_by(20) {
             let v = mv as f64 / 1000.0;
@@ -292,21 +267,12 @@ mod tests {
     #[test]
     fn extreme_voltages_saturate_cleanly() {
         let mut tdc = sensor();
-        tdc.config.dither_stages = 0.0;
+        tdc.dither_stages = 0.0;
         let dead = tdc.sample(0.2);
         assert_eq!(dead.count, 0, "edge never leaves the LUT line");
         let over = tdc.sample(2.0);
         assert!(over.count >= 90, "overdrive speeds the edge up");
-        assert!(usize::from(over.count) <= tdc.config().l_carry);
-    }
-
-    #[test]
-    fn invalid_configurations_are_rejected() {
-        let bad = TdcConfig { l_carry: 0, ..TdcConfig::default() };
-        assert!(TdcSensor::with_theta(bad, 100.0, 90.0).is_err());
-        let bad = TdcConfig { l_carry: 256, ..TdcConfig::default() };
-        assert!(TdcSensor::with_theta(bad, 100.0, 90.0).is_err());
-        assert!(TdcSensor::calibrated(TdcConfig::default(), 100.0, 200).is_err());
+        assert!(usize::from(over.count) <= L_CARRY);
     }
 
     #[test]

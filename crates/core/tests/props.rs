@@ -12,10 +12,10 @@
 //!    placed.
 
 use accel::schedule::AccelConfig;
-use deepstrike::detector::{DetectorConfig, DetectorState, StartDetector};
+use deepstrike::detector::{DetectorState, StartDetector, DEBOUNCE};
 use deepstrike::hypervisor::{attacker_netlist, victim_netlist};
 use deepstrike::striker::StrikerBank;
-use deepstrike::tdc::{TdcConfig, TdcSensor};
+use deepstrike::tdc::TdcSensor;
 use fpga_fabric::bitstream::{combine_with, TenantDesign};
 use fpga_fabric::device::Device;
 use fpga_fabric::drc::{self, DrcPolicy, Rule, Severity};
@@ -36,7 +36,7 @@ fn thermometer(count: usize) -> u128 {
 }
 
 fn detector() -> StartDetector {
-    StartDetector::new(DetectorConfig::default()).expect("default config is valid")
+    StartDetector::new()
 }
 
 /// Replays `counts` through a fresh push loop and returns how many pushes
@@ -82,7 +82,7 @@ proptest! {
     ) {
         let counts: Vec<usize> =
             idle.iter().chain(&droop).chain(&tail).copied().collect();
-        let debounce = DetectorConfig::default().debounce as u64;
+        let debounce = DEBOUNCE as u64;
         let expected_at = idle.len() as u64 + debounce - 1;
 
         let mut det = detector();
@@ -132,7 +132,7 @@ fn ring_oscillator(pairs: usize) -> Netlist {
 }
 
 fn tdc() -> TdcSensor {
-    TdcSensor::calibrated(TdcConfig::default(), 100.0, 90).expect("calibration converges")
+    TdcSensor::calibrated().expect("calibration converges")
 }
 
 proptest! {
@@ -247,13 +247,8 @@ fn snapshot_rig() -> &'static (CloudFpga, SnapshotEngine) {
             .expect("victim quantises");
         let accel =
             AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
-        let mut fpga = CloudFpga::new(
-            &q,
-            &accel,
-            16_000,
-            CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
-        )
-        .expect("platform assembles");
+        let mut fpga = CloudFpga::new(&q, &accel, 16_000, CosimConfig { pdn_substeps: 4 })
+            .expect("platform assembles");
         fpga.settle(30);
         let engine = SnapshotEngine::capture(&fpga).expect("fork ladder captures");
         (fpga, engine)

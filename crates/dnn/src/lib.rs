@@ -19,7 +19,7 @@
 //! * [`quant`] — post-training quantisation and an *integer* reference
 //!   inference pipeline whose MAC-level arithmetic is exactly what the
 //!   `accel` crate replays on its DSP model.
-//! * [`train`] / [`metrics`] — training loop and evaluation.
+//! * [`train`] — training loop and evaluation.
 //! * [`zoo`] — additional victim architectures (paper §V future work).
 //!
 //! # Example: train, quantise, deploy
@@ -46,7 +46,6 @@ pub mod digits;
 pub mod fixed;
 pub mod layers;
 pub mod lenet;
-pub mod metrics;
 pub mod network;
 pub mod quant;
 pub mod tensor;

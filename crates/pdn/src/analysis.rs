@@ -118,27 +118,6 @@ pub fn glitch_windows(trace: &Trace, v_threshold: f64) -> Vec<GlitchWindow> {
     out
 }
 
-/// Number of samples after `from` until the trace stays within `band` of
-/// `v_nom` for the rest of the trace (settling time in samples), or `None`
-/// if it never settles.
-pub fn settling_samples(trace: &Trace, from: usize, v_nom: f64, band: f64) -> Option<usize> {
-    let samples = trace.samples();
-    if from >= samples.len() {
-        return None;
-    }
-    let mut settled_at = None;
-    for (i, &v) in samples.iter().enumerate().skip(from) {
-        if (v - v_nom).abs() <= band {
-            if settled_at.is_none() {
-                settled_at = Some(i);
-            }
-        } else {
-            settled_at = None;
-        }
-    }
-    settled_at.map(|i| i - from)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -175,14 +154,5 @@ mod tests {
         let t = trace(&[1.0, 0.5]);
         let w = glitch_windows(&t, 0.9);
         assert_eq!(w, vec![GlitchWindow { start: 1, end: 2 }]);
-    }
-
-    #[test]
-    fn settling_detection() {
-        let t = trace(&[0.7, 0.8, 0.97, 0.99, 1.0, 1.0]);
-        assert_eq!(settling_samples(&t, 0, 1.0, 0.05), Some(2));
-        let t = trace(&[0.7, 0.99, 0.7]);
-        assert_eq!(settling_samples(&t, 0, 1.0, 0.05), None, "relapses never settle");
-        assert_eq!(settling_samples(&t, 10, 1.0, 0.05), None, "from beyond end");
     }
 }

@@ -7,14 +7,8 @@ use std::fmt;
 pub enum PdnError {
     /// A physical parameter was non-positive or non-finite.
     InvalidParameter { name: &'static str, value: f64 },
-    /// The requested timestep violates the solver's stability bound.
-    UnstableTimestep { dt: f64, max_dt: f64 },
     /// A grid coordinate or node index was out of range.
     OutOfRange(String),
-    /// Numeric integration diverged (non-finite or runaway state) and
-    /// step-halving recovery gave up. `value` is the offending state
-    /// sample; `dt` the requested (pre-halving) timestep.
-    SolverDiverged { dt: f64, value: f64 },
 }
 
 impl fmt::Display for PdnError {
@@ -23,17 +17,7 @@ impl fmt::Display for PdnError {
             PdnError::InvalidParameter { name, value } => {
                 write!(f, "invalid parameter {name} = {value}")
             }
-            PdnError::UnstableTimestep { dt, max_dt } => {
-                write!(f, "timestep {dt:.3e} s exceeds stability bound {max_dt:.3e} s")
-            }
             PdnError::OutOfRange(what) => write!(f, "{what} out of range"),
-            PdnError::SolverDiverged { dt, value } => {
-                write!(
-                    f,
-                    "solver diverged at dt {dt:.3e} s (state reached {value:.3e}) \
-                     after step-halving recovery gave up"
-                )
-            }
         }
     }
 }
@@ -52,9 +36,7 @@ mod tests {
     fn display_formats() {
         let e = PdnError::InvalidParameter { name: "c_die", value: -1.0 };
         assert!(e.to_string().contains("c_die"));
-        let e = PdnError::UnstableTimestep { dt: 1e-6, max_dt: 1e-9 };
-        assert!(e.to_string().contains("stability"));
-        let e = PdnError::SolverDiverged { dt: 1e-9, value: f64::INFINITY };
-        assert!(e.to_string().contains("diverged"));
+        let e = PdnError::OutOfRange("node (3, 4)".into());
+        assert_eq!(e.to_string(), "node (3, 4) out of range");
     }
 }

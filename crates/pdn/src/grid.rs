@@ -201,25 +201,6 @@ impl SpatialPdn {
         v_die
     }
 
-    /// [`SpatialPdn::step`] with divergence detection and step-halving
-    /// recovery on the lumped backbone (see [`LumpedPdn::try_step`]),
-    /// plus a finiteness check on the relaxed deviation field.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidParameter`] for a bad `dt` and
-    /// [`PdnError::SolverDiverged`] when recovery gives up or the local
-    /// field turns non-finite.
-    pub fn try_step(&mut self, dt: f64) -> Result<f64> {
-        let total = self.total_load();
-        let v_die = self.lumped.try_step(total, dt)?;
-        self.relax();
-        if let Some(bad) = self.delta.iter().copied().find(|d| !d.is_finite()) {
-            return Err(PdnError::SolverDiverged { dt, value: bad });
-        }
-        Ok(v_die)
-    }
-
     /// Gauss–Seidel relaxation of the local deviation field `δ` around the
     /// injected currents (`δ = 0` where nothing is drawn).
     ///
@@ -512,25 +493,5 @@ mod tests {
         let p = GridParams::default();
         let lambda = p.attenuation_length();
         assert!((3.0..8.0).contains(&lambda), "λ = {lambda}");
-    }
-
-    #[test]
-    fn try_step_matches_step_and_surfaces_divergence_typed() {
-        let mut a = settled_grid();
-        let mut b = a.clone();
-        a.inject(NodeId { x: 1, y: 1 }, 6.0).unwrap();
-        b.inject(NodeId { x: 1, y: 1 }, 6.0).unwrap();
-        for k in 0..50 {
-            let va = a.step(1e-9);
-            let vb = b.try_step(1e-9).expect("stable grid step succeeds");
-            assert_eq!(va.to_bits(), vb.to_bits(), "divergence at step {k}");
-        }
-        for (da, db) in a.delta.iter().zip(&b.delta) {
-            assert_eq!(da.to_bits(), db.to_bits());
-        }
-        // A pathological injection diverges as a typed error, no panic.
-        let mut g = settled_grid();
-        g.inject(NodeId { x: 0, y: 0 }, 1e300).unwrap();
-        assert!(matches!(g.try_step(1e-9), Err(PdnError::SolverDiverged { .. })));
     }
 }

@@ -11,7 +11,6 @@
 //! * [`grid`] — a spatial RC mesh layered on top of the lumped model, so a
 //!   current transient injected in the attacker's region is seen attenuated
 //!   in the victim's region depending on floorplan distance.
-//! * [`load`] — current-load bookkeeping for multiple named tenants.
 //! * [`delay`] — the alpha-power voltage→delay law that converts droop into
 //!   timing-margin loss (and therefore DSP faults).
 //! * [`thermal`] — a first-order thermal RC model; sustained striker
@@ -19,7 +18,7 @@
 //!   temperature of the FPGA chip or even crash it".
 //! * [`trace`] — voltage-trace recording with the statistics the TDC
 //!   profiler consumes.
-//! * [`analysis`] — droop metrics (worst droop, settling, glitch windows).
+//! * [`analysis`] — droop metrics (worst droop, glitch windows).
 //!
 //! # Example
 //!
@@ -41,7 +40,6 @@
 pub mod analysis;
 pub mod delay;
 pub mod grid;
-pub mod load;
 pub mod rlc;
 pub mod thermal;
 pub mod trace;

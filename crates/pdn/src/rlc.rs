@@ -27,11 +27,6 @@
 
 use crate::error::{PdnError, Result};
 
-/// How many times [`LumpedPdn::try_step`] halves the timestep before
-/// declaring [`PdnError::SolverDiverged`] (64 substeps at the last
-/// attempt).
-pub const MAX_STEP_HALVINGS: u32 = 6;
-
 /// Electrical parameters of the lumped supply model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RlcParams {
@@ -156,91 +151,13 @@ impl LumpedPdn {
     /// Uses semi-implicit Euler: the inductor current is updated with the
     /// old voltage, then the capacitor voltage with the *new* current.
     /// Timesteps beyond the stability bound ([`RlcParams::max_dt`]) are
-    /// clamped to it; for divergence *detection and recovery* use
-    /// [`LumpedPdn::try_step`]. Never panics.
+    /// clamped to it. Never panics.
     pub fn step(&mut self, i_load: f64, dt: f64) -> f64 {
-        let dt = dt.min(self.params.max_dt());
-        self.raw_step(i_load, dt);
-        self.v
-    }
-
-    /// One unclamped semi-implicit Euler update.
-    fn raw_step(&mut self, i_load: f64, dt: f64) {
         let p = &self.params;
+        let dt = dt.min(p.max_dt());
         self.i_l += dt * (p.vdd - self.v - p.r * self.i_l) / p.l;
         self.v += dt * (self.i_l - i_load) / p.c;
-    }
-
-    /// True while the state is inside the trust region: finite, and
-    /// within an order of magnitude of the physical operating envelope
-    /// (`|v| ≤ 10·Vdd`, `|i_L| ≤ 10·Vdd/R`). Anything outside is numeric
-    /// runaway, not physics.
-    fn state_in_trust_region(&self) -> bool {
-        let p = &self.params;
-        self.v.is_finite()
-            && self.i_l.is_finite()
-            && self.v.abs() <= 10.0 * p.vdd
-            && self.i_l.abs() <= 10.0 * p.vdd / p.r
-    }
-
-    /// Advances one timestep with divergence detection and step-halving
-    /// recovery.
-    ///
-    /// The step is attempted at `dt`; if the state leaves the trust
-    /// region (non-finite or runaway voltage/current), the state is
-    /// restored and the slice is re-integrated with the step halved
-    /// (1 → 2 → 4 … substeps), emitting one
-    /// [`trace::Event::SolverStepHalved`] per halving, up to
-    /// [`MAX_STEP_HALVINGS`]. A `dt` beyond the stability bound is
-    /// halved up-front — the semi-implicit scheme is known-unstable
-    /// there even while individual updates still look finite. Each retry covers the same `dt` of
-    /// simulated time, so a recovered step is indistinguishable to the
-    /// caller apart from the trace trail.
-    ///
-    /// # Errors
-    ///
-    /// - [`PdnError::InvalidParameter`] for non-finite `i_load` or a
-    ///   non-positive/non-finite `dt`.
-    /// - [`PdnError::SolverDiverged`] when every halving still leaves the
-    ///   trust region; the pre-step state is restored so the model stays
-    ///   usable.
-    pub fn try_step(&mut self, i_load: f64, dt: f64) -> Result<f64> {
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(PdnError::InvalidParameter { name: "dt", value: dt });
-        }
-        if !i_load.is_finite() {
-            return Err(PdnError::InvalidParameter { name: "i_load", value: i_load });
-        }
-        let saved = (self.v, self.i_l);
-        let mut worst = self.v;
-        for halvings in 0..=MAX_STEP_HALVINGS {
-            if halvings > 0 {
-                trace::emit(|| trace::Event::SolverStepHalved { halvings });
-            }
-            let substeps = 1u32 << halvings;
-            let sub_dt = dt / f64::from(substeps);
-            // A substep beyond the stability bound is known-unstable a
-            // priori (the scheme rings exponentially even while each
-            // individual update still looks finite) — halve immediately
-            // instead of wasting an attempt, as long as halvings remain.
-            if sub_dt > self.params.max_dt() && halvings < MAX_STEP_HALVINGS {
-                continue;
-            }
-            let mut sane = true;
-            for _ in 0..substeps {
-                self.raw_step(i_load, sub_dt);
-                if !self.state_in_trust_region() {
-                    sane = false;
-                    break;
-                }
-            }
-            if sane {
-                return Ok(self.v);
-            }
-            worst = if self.v.is_finite() { self.v } else { self.i_l };
-            (self.v, self.i_l) = saved;
-        }
-        Err(PdnError::SolverDiverged { dt, value: worst })
+        self.v
     }
 
     /// Runs the model to steady state under a constant load and returns the
@@ -361,82 +278,18 @@ mod tests {
     }
 
     #[test]
-    fn try_step_matches_step_on_stable_inputs() {
-        let mut a = pdn();
-        let mut b = pdn();
-        a.settle(0.5);
-        b.settle(0.5);
-        let dt = 1e-9;
-        for k in 0..1000 {
-            let load = if (200..220).contains(&k) { 8.5 } else { 0.5 };
-            let va = a.step(load, dt);
-            let vb = b.try_step(load, dt).expect("stable step succeeds");
-            assert_eq!(va.to_bits(), vb.to_bits(), "divergence at step {k}");
-        }
-    }
-
-    #[test]
-    fn try_step_recovers_an_unstable_timestep_by_halving() {
-        // 10× the stability bound: the raw update rings exponentially,
-        // but a few halvings land back inside the stable region.
+    fn step_clamps_timesteps_beyond_the_stability_bound() {
         let mut p = pdn();
         p.settle(0.5);
-        let dt = p.params().max_dt() * 10.0;
-        let ((), log) = trace::capture(64, || {
-            let v = p.try_step(2.0, dt).expect("halving must recover");
-            assert!(v.is_finite() && v > 0.0 && v < 1.5);
-        });
-        let halvings: Vec<u32> = log
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                trace::Event::SolverStepHalved { halvings } => Some(*halvings),
-                _ => None,
-            })
-            .collect();
-        assert!(!halvings.is_empty(), "recovery must leave a SolverStepHalved trail");
-        assert_eq!(halvings, (1..=halvings.len() as u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_step_gives_up_with_solver_diverged_and_full_trail() {
-        // A finite but absurd load blows the trust region at every
-        // halving; the API must surface a typed error, not panic, and
-        // leave the pre-step state restored.
-        let mut p = pdn();
-        p.settle(0.5);
-        let v0 = p.voltage();
-        let i0 = p.inductor_current();
-        let (result, log) = trace::capture(64, || p.try_step(1e300, 1e-9));
-        match result {
-            Err(PdnError::SolverDiverged { dt, .. }) => assert_eq!(dt, 1e-9),
-            other => panic!("expected SolverDiverged, got {other:?}"),
+        let max_dt = p.params().max_dt();
+        let mut clamped = p.clone();
+        let v = p.step(2.0, 10.0 * max_dt);
+        assert_eq!(v.to_bits(), clamped.step(2.0, max_dt).to_bits());
+        assert_eq!(p.inductor_current().to_bits(), clamped.inductor_current().to_bits());
+        for _ in 0..1_000 {
+            let v = p.step(12.0, 10.0 * max_dt);
+            assert!(v.is_finite() && p.inductor_current().is_finite(), "clamped step blew up");
         }
-        assert_eq!(p.voltage().to_bits(), v0.to_bits(), "state must be restored");
-        assert_eq!(p.inductor_current().to_bits(), i0.to_bits());
-        let halvings: Vec<u32> = log
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                trace::Event::SolverStepHalved { halvings } => Some(*halvings),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(halvings, (1..=MAX_STEP_HALVINGS).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_step_rejects_nonfinite_inputs_with_typed_errors() {
-        let mut p = pdn();
-        assert!(matches!(
-            p.try_step(f64::NAN, 1e-9),
-            Err(PdnError::InvalidParameter { name: "i_load", .. })
-        ));
-        assert!(matches!(p.try_step(0.5, 0.0), Err(PdnError::InvalidParameter { name: "dt", .. })));
-        assert!(matches!(
-            p.try_step(0.5, f64::INFINITY),
-            Err(PdnError::InvalidParameter { name: "dt", .. })
-        ));
     }
 
     #[test]

@@ -4,78 +4,43 @@
 //! temperature of the FPGA chip or even crash it", and that the victim is
 //! placed far from the attacker partly "to minimize the influence of
 //! temperature changes". This model captures that secondary channel: die
-//! temperature follows dissipated power through a thermal RC, and a
-//! configurable junction limit flags thermal shutdown.
+//! temperature follows dissipated power through a thermal RC, and a fixed
+//! junction limit flags thermal shutdown.
 
-use crate::error::{PdnError, Result};
+// Zynq-7020 with a small heatsink: ~5 K/W, seconds-scale time constant,
+// commercial-grade 85 °C limit (the silicon survives to 125 °C; the board
+// monitor trips earlier).
 
-/// Thermal RC parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThermalParams {
-    /// Junction-to-ambient thermal resistance in kelvin per watt.
-    pub r_th: f64,
-    /// Thermal capacitance in joules per kelvin.
-    pub c_th: f64,
-    /// Ambient temperature in °C.
-    pub t_ambient: f64,
-    /// Junction temperature that triggers shutdown, in °C.
-    pub t_shutdown: f64,
-}
-
-impl Default for ThermalParams {
-    fn default() -> Self {
-        // Zynq-7020 with a small heatsink: ~5 K/W, seconds-scale time
-        // constant, commercial-grade 85 °C limit (the silicon survives to
-        // 125 °C; the board monitor trips earlier).
-        ThermalParams { r_th: 5.0, c_th: 2.0, t_ambient: 25.0, t_shutdown: 85.0 }
-    }
-}
+/// Junction-to-ambient thermal resistance in kelvin per watt.
+const R_TH: f64 = 5.0;
+/// Thermal capacitance in joules per kelvin.
+const C_TH: f64 = 2.0;
+/// Ambient temperature in °C.
+const T_AMBIENT: f64 = 25.0;
+/// Junction temperature that triggers shutdown, in °C.
+const T_SHUTDOWN: f64 = 85.0;
 
 /// Die thermal state.
 ///
 /// # Example
 ///
 /// ```
-/// use pdn::thermal::{ThermalModel, ThermalParams};
+/// use pdn::thermal::ThermalModel;
 ///
-/// let mut t = ThermalModel::new(ThermalParams::default())?;
+/// let mut t = ThermalModel::new();
 /// // 20 W sustained would settle at 25 + 100 = 125 °C — shutdown territory.
 /// for _ in 0..100_000 { t.step(20.0, 1e-3); }
 /// assert!(t.is_overheated());
-/// # Ok::<(), pdn::PdnError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
-    params: ThermalParams,
     t_junction: f64,
 }
 
 impl ThermalModel {
     /// Creates a model at ambient temperature.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidParameter`] for non-physical parameters.
-    pub fn new(params: ThermalParams) -> Result<Self> {
-        for (name, value) in [("r_th", params.r_th), ("c_th", params.c_th)] {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(PdnError::InvalidParameter { name, value });
-            }
-        }
-        if params.t_shutdown <= params.t_ambient {
-            return Err(PdnError::InvalidParameter {
-                name: "t_shutdown",
-                value: params.t_shutdown,
-            });
-        }
-        Ok(ThermalModel { params, t_junction: params.t_ambient })
-    }
-
-    /// Model with default Zynq-like parameters.
-    pub fn zynq_like() -> Self {
-        // Invariant: `ThermalParams::default()` is a static, in-range
-        // literal set, so validation cannot fail.
-        ThermalModel::new(ThermalParams::default()).expect("static parameters are valid")
+    pub fn new() -> Self {
+        ThermalModel { t_junction: T_AMBIENT }
     }
 
     /// Present junction temperature in °C.
@@ -83,19 +48,13 @@ impl ThermalModel {
         self.t_junction
     }
 
-    /// Model parameters.
-    pub fn params(&self) -> &ThermalParams {
-        &self.params
-    }
-
     /// Advances the thermal state by `dt` seconds while dissipating
     /// `power_w` watts; returns the new junction temperature.
     pub fn step(&mut self, power_w: f64, dt: f64) -> f64 {
-        let p = &self.params;
         // Exact exponential update of the first-order system: immune to the
         // stiff-timestep instability an Euler step would have at dt >> RC.
-        let t_target = p.t_ambient + power_w.max(0.0) * p.r_th;
-        let tau = p.r_th * p.c_th;
+        let t_target = T_AMBIENT + power_w.max(0.0) * R_TH;
+        let tau = R_TH * C_TH;
         let decay = (-dt / tau).exp();
         self.t_junction = t_target + (self.t_junction - t_target) * decay;
         self.t_junction
@@ -103,24 +62,23 @@ impl ThermalModel {
 
     /// Whether the junction exceeds the shutdown limit.
     pub fn is_overheated(&self) -> bool {
-        self.t_junction >= self.params.t_shutdown
+        self.t_junction >= T_SHUTDOWN
     }
+}
 
-    /// Additional delay derating from temperature: roughly +0.1%/K above
-    /// ambient for wire+transistor slowdown.
-    pub fn delay_derating(&self) -> f64 {
-        1.0 + 0.001 * (self.t_junction - self.params.t_ambient).max(0.0)
+impl Default for ThermalModel {
+    fn default() -> Self {
+        ThermalModel::new()
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     #[test]
     fn settles_at_ambient_plus_p_rth() {
-        let mut t = ThermalModel::zynq_like();
+        let mut t = ThermalModel::new();
         for _ in 0..200_000 {
             t.step(2.0, 1e-3);
         }
@@ -130,7 +88,7 @@ mod tests {
 
     #[test]
     fn sustained_striker_power_overheats() {
-        let mut t = ThermalModel::zynq_like();
+        let mut t = ThermalModel::new();
         for _ in 0..200_000 {
             t.step(15.0, 1e-3);
         }
@@ -139,7 +97,7 @@ mod tests {
 
     #[test]
     fn exact_update_is_stable_for_huge_dt() {
-        let mut t = ThermalModel::zynq_like();
+        let mut t = ThermalModel::new();
         t.step(10.0, 1e6);
         assert!((t.junction_temp() - 75.0).abs() < 1e-6, "jumps to equilibrium");
         t.step(0.0, 1e6);
@@ -148,24 +106,8 @@ mod tests {
 
     #[test]
     fn negative_power_treated_as_zero() {
-        let mut t = ThermalModel::zynq_like();
+        let mut t = ThermalModel::new();
         t.step(-5.0, 10.0);
         assert!(t.junction_temp() >= 25.0 - 1e-9);
-    }
-
-    #[test]
-    fn derating_grows_with_temperature() {
-        let mut t = ThermalModel::zynq_like();
-        let d0 = t.delay_derating();
-        t.step(15.0, 1e3);
-        assert!(t.delay_derating() > d0);
-    }
-
-    #[test]
-    fn validation() {
-        let bad = ThermalParams { r_th: 0.0, ..ThermalParams::default() };
-        assert!(ThermalModel::new(bad).is_err());
-        let bad = ThermalParams { t_shutdown: 10.0, ..ThermalParams::default() };
-        assert!(ThermalModel::new(bad).is_err());
     }
 }

@@ -107,11 +107,6 @@ impl Trace {
         self.samples.iter().map(|s| (s - m).powi(2)).sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// A sub-trace covering samples `[start, end)`.
     ///
     /// # Errors
@@ -122,21 +117,6 @@ impl Trace {
             return Err(PdnError::OutOfRange(format!("window {start}..{end}")));
         }
         Ok(Trace { dt: self.dt, samples: self.samples[start..end].to_vec() })
-    }
-
-    /// Keeps every `factor`-th sample (sample-and-hold decimation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::OutOfRange`] if `factor` is zero.
-    pub fn decimate(&self, factor: usize) -> Result<Trace> {
-        if factor == 0 {
-            return Err(PdnError::OutOfRange("decimation factor 0".into()));
-        }
-        Ok(Trace {
-            dt: self.dt * factor as f64,
-            samples: self.samples.iter().copied().step_by(factor).collect(),
-        })
     }
 }
 
@@ -160,7 +140,6 @@ mod tests {
         assert_eq!(t.max(), 4.0);
         assert!((t.mean() - 2.5).abs() < 1e-12);
         assert!((t.variance() - 1.25).abs() < 1e-12);
-        assert!((t.std_dev() - 1.25f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -174,15 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn window_and_decimate() {
+    fn window_selects_a_sub_range() {
         let t = ramp(100);
         let w = t.window(10, 20).unwrap();
         assert_eq!(w.len(), 10);
         assert_eq!(w.samples()[0], 10.0);
-        let d = t.decimate(10).unwrap();
-        assert_eq!(d.len(), 10);
-        assert!((d.dt() - 1e-8).abs() < 1e-20);
-        assert_eq!(d.samples()[1], 10.0);
     }
 
     #[test]
@@ -190,7 +165,6 @@ mod tests {
         let t = ramp(10);
         assert!(t.window(5, 3).is_err());
         assert!(t.window(0, 11).is_err());
-        assert!(t.decimate(0).is_err());
         assert!(Trace::new(0.0).is_err());
         assert!(Trace::new(-1.0).is_err());
     }

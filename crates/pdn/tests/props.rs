@@ -4,7 +4,7 @@ use pdn::analysis::{droop_stats, glitch_windows};
 use pdn::delay::DelayModel;
 use pdn::grid::{GridParams, NodeId, SpatialPdn};
 use pdn::rlc::{LumpedPdn, RlcParams};
-use pdn::thermal::{ThermalModel, ThermalParams};
+use pdn::thermal::ThermalModel;
 use pdn::trace::Trace;
 use proptest::prelude::*;
 
@@ -68,7 +68,7 @@ proptest! {
     /// Thermal equilibrium equals ambient + P·R exactly for any dt split.
     #[test]
     fn thermal_equilibrium_exact(power in 0.0f64..10.0, steps in 1usize..50) {
-        let mut t = ThermalModel::new(ThermalParams::default()).unwrap();
+        let mut t = ThermalModel::new();
         for _ in 0..steps {
             t.step(power, 1e4 / steps as f64);
         }
@@ -103,15 +103,5 @@ proptest! {
         prop_assert!((stats.v_nom - stats.worst_droop - min).abs() < 1e-9
             || stats.worst_droop == 0.0);
         prop_assert!((samples[stats.worst_index] - min).abs() < 1e-12);
-    }
-
-    /// Decimation never changes the value set it samples from.
-    #[test]
-    fn decimation_subsets(samples in prop::collection::vec(-5.0f64..5.0, 1..100), factor in 1usize..10) {
-        let trace = Trace::from_samples(1e-9, samples.clone()).unwrap();
-        let d = trace.decimate(factor).unwrap();
-        for (k, &v) in d.samples().iter().enumerate() {
-            prop_assert_eq!(v, samples[k * factor]);
-        }
     }
 }

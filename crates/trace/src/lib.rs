@@ -229,10 +229,6 @@ pub enum Event {
     /// A campaign phase blew its link-tick budget and the watchdog forced
     /// a resumable interrupt (degrade, don't die).
     PhaseDeadlineExceeded { phase: RemotePhase },
-    /// The PDN solver detected a diverging integration slice and retried
-    /// it with a halved timestep (`halvings` is the cumulative count for
-    /// the slice, 1-based).
-    SolverStepHalved { halvings: u32 },
 }
 
 impl Event {
@@ -261,7 +257,6 @@ impl Event {
             Event::WorkerQuarantined { .. }
             | Event::CheckpointFsync { .. }
             | Event::PhaseDeadlineExceeded { .. } => Stage::Supervisor,
-            Event::SolverStepHalved { .. } => Stage::Pdn,
         }
     }
 
@@ -391,11 +386,6 @@ impl Event {
                 r#"{{"ev":"phase_deadline_exceeded","stage":"{}","phase":"{}"}}"#,
                 self.stage().name(),
                 phase.name()
-            ),
-            Event::SolverStepHalved { halvings } => write!(
-                s,
-                r#"{{"ev":"solver_step_halved","stage":"{}","halvings":{halvings}}}"#,
-                self.stage().name()
             ),
         };
         s
@@ -711,19 +701,16 @@ mod tests {
                 Event::WorkerQuarantined { index: 17 },
                 Event::CheckpointFsync { generation: 3, bytes: 4096 },
                 Event::PhaseDeadlineExceeded { phase: RemotePhase::Profile },
-                Event::SolverStepHalved { halvings: 2 },
             ],
             dropped: 0,
         };
         assert_eq!(log.events[0].stage(), Stage::Supervisor);
-        assert_eq!(log.events[3].stage(), Stage::Pdn);
         assert_eq!(
             log.to_jsonl(),
             concat!(
                 "{\"ev\":\"worker_quarantined\",\"stage\":\"supervisor\",\"index\":17}\n",
                 "{\"ev\":\"checkpoint_fsync\",\"stage\":\"supervisor\",\"generation\":3,\"bytes\":4096}\n",
                 "{\"ev\":\"phase_deadline_exceeded\",\"stage\":\"supervisor\",\"phase\":\"profile\"}\n",
-                "{\"ev\":\"solver_step_halved\",\"stage\":\"pdn\",\"halvings\":2}\n",
             )
         );
     }

@@ -14,7 +14,7 @@ use deepstrike::attack::{evaluate_attack, plan_attack, plan_blind, profile_victi
 use deepstrike::cosim::{CloudFpga, CosimConfig};
 use deepstrike::hypervisor::deploy;
 use deepstrike::striker::StrikerBank;
-use deepstrike::tdc::{TdcConfig, TdcSensor};
+use deepstrike::tdc::TdcSensor;
 use dnn::digits::{Dataset, RenderParams};
 use dnn::fixed::QFormat;
 use dnn::lenet::{lenet5, STAGE_NAMES};
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== provider-side deployment checks ==");
     let device = Device::zynq_7020();
     let striker = StrikerBank::new(8_000)?;
-    let tdc = TdcSensor::calibrated(TdcConfig::default(), 100.0, 90)?;
+    let tdc = TdcSensor::calibrated()?;
     let deployment = deploy(&device, &AccelConfig::default(), &striker, &tdc)?;
     println!(
         "two-tenant image accepted; striker uses {:.2}% of slices; tenant distance {:.2}",

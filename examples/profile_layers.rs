@@ -8,7 +8,7 @@
 
 use accel::schedule::AccelConfig;
 use deepstrike::cosim::{CloudFpga, CosimConfig};
-use deepstrike::profile::{segment_trace, SegmenterConfig, SignatureLibrary};
+use deepstrike::profile::{segment_trace, SignatureLibrary};
 use dnn::fixed::QFormat;
 use dnn::lenet::{lenet5, STAGE_NAMES};
 use dnn::quant::QuantizedNetwork;
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Segment and learn signatures.
-    let segments = segment_trace(&run.tdc_trace, &SegmenterConfig::default());
+    let segments = segment_trace(&run.tdc_trace);
     let mut library = SignatureLibrary::new();
     println!("\nsegments:");
     for (name, seg) in STAGE_NAMES.iter().zip(&segments) {
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Classify a repeat run against the library.
     let rerun = fpga.run_inference();
-    let rerun_segments = segment_trace(&rerun.tdc_trace, &SegmenterConfig::default());
+    let rerun_segments = segment_trace(&rerun.tdc_trace);
     println!("\nre-run classification:");
     for seg in &rerun_segments {
         let (name, dist) = library.classify(seg)?;

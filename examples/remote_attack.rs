@@ -10,7 +10,7 @@
 
 use accel::schedule::AccelConfig;
 use deepstrike::cosim::{CloudFpga, CosimConfig};
-use deepstrike::profile::{segment_trace, SegmenterConfig};
+use deepstrike::profile::segment_trace;
 use deepstrike::signal_ram::AttackScheme;
 use dnn::fixed::QFormat;
 use dnn::quant::QuantizedNetwork;
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err("expected a trace".into());
     };
     println!("pulled {} TDC samples over UART", trace.len());
-    let segments = segment_trace(&trace, &SegmenterConfig::default());
+    let segments = segment_trace(&trace);
     println!("observed {} execution phases", segments.len());
     let target = segments.first().ok_or("no execution phases visible")?;
     println!(

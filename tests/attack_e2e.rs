@@ -22,13 +22,7 @@ fn small_victim(seed: u64) -> QuantizedNetwork {
 
 fn fast_platform(victim: &QuantizedNetwork, cells: usize) -> CloudFpga {
     let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
-    let mut fpga = CloudFpga::new(
-        victim,
-        &accel,
-        cells,
-        CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
-    )
-    .unwrap();
+    let mut fpga = CloudFpga::new(victim, &accel, cells, CosimConfig { pdn_substeps: 4 }).unwrap();
     fpga.settle(50);
     fpga
 }
@@ -112,10 +106,7 @@ fn full_campaign_over_the_uart_channel() {
     let Response::Trace(trace) = response else { panic!("expected trace") };
     assert!(trace.len() > 5_000, "trace too short: {}", trace.len());
 
-    let segments = deepstrike::profile::segment_trace(
-        &trace,
-        &deepstrike::profile::SegmenterConfig::default(),
-    );
+    let segments = deepstrike::profile::segment_trace(&trace);
     assert_eq!(segments.len(), 3, "three dense phases visible over UART");
 
     // Upload a scheme targeting the first phase and arm, all remotely.

@@ -6,7 +6,7 @@ use deepstrike::cosim::{CloudFpga, CosimConfig};
 use deepstrike::defense::{GlitchWatchdog, WatchdogConfig};
 use deepstrike::hypervisor::{deploy, deploy_with_policy};
 use deepstrike::striker::StrikerBank;
-use deepstrike::tdc::{TdcConfig, TdcSensor};
+use deepstrike::tdc::TdcSensor;
 use deepstrike::DeepStrikeError;
 use dnn::fixed::QFormat;
 use dnn::quant::QuantizedNetwork;
@@ -24,7 +24,7 @@ fn platform(cells: usize) -> CloudFpga {
         &victim,
         &AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() },
         cells,
-        CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
+        CosimConfig { pdn_substeps: 4 },
     )
     .unwrap();
     fpga.settle(50);
@@ -61,7 +61,7 @@ fn watchdog_is_quiet_during_clean_execution() {
 fn strict_provider_policy_blocks_the_whole_attack() {
     let device = Device::zynq_7020();
     let striker = StrikerBank::new(8_000).unwrap();
-    let tdc = TdcSensor::calibrated(TdcConfig::default(), 100.0, 90).unwrap();
+    let tdc = TdcSensor::calibrated().unwrap();
     // Standard provider: attack deploys.
     deploy(&device, &AccelConfig::default(), &striker, &tdc).unwrap();
     // Hardened provider: the latch-loop scan rejects the tenant.

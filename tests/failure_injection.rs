@@ -33,7 +33,7 @@ fn fast_platform() -> CloudFpga {
         &small_victim(),
         &AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() },
         8_000,
-        CosimConfig { pdn_substeps: 4, ..CosimConfig::default() },
+        CosimConfig { pdn_substeps: 4 },
     )
     .unwrap();
     fpga.settle(20);
