@@ -87,15 +87,12 @@ impl<R: Rng> MacHook for FixedRateHook<R> {
 /// short LUT path, so slack is huge and the striker cannot realistically
 /// reach its fault threshold (≈ 0.63 V).
 pub fn pool_fault_model() -> FaultModel {
-    FaultModel::new(
-        DspTiming {
-            stage_delay_ps: 3000.0,
-            budget_ps: 10_000.0,
-            window_frac: 0.12,
-            jitter_frac: 0.10,
-        },
-        pdn::delay::DelayModel::default(),
-    )
+    FaultModel::new(DspTiming {
+        stage_delay_ps: 3000.0,
+        budget_ps: 10_000.0,
+        window_frac: 0.12,
+        jitter_frac: 0.10,
+    })
 }
 
 /// Counts of faults the executor actually applied during one inference.

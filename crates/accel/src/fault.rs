@@ -33,7 +33,7 @@
 //! its two voltages first, and the attack scorer calls it with delay
 //! factors priced once per recorded run.
 
-use pdn::delay::DelayModel;
+use pdn::delay;
 use rand::Rng;
 
 /// What happened to one MAC operation.
@@ -105,32 +105,27 @@ impl FaultProbabilities {
     }
 }
 
-/// The voltage → fault-species model.
+/// The voltage → fault-species model: DSP timing under the board's
+/// delay law ([`pdn::delay`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     timing: DspTiming,
-    delay: DelayModel,
 }
 
 impl FaultModel {
-    /// Creates a fault model from timing and delay-law parameters.
-    pub fn new(timing: DspTiming, delay: DelayModel) -> Self {
-        FaultModel { timing, delay }
+    /// Creates a fault model for the given DSP timing.
+    pub fn new(timing: DspTiming) -> Self {
+        FaultModel { timing }
     }
 
-    /// The paper's configuration: DDR DSP timing and default delay law.
+    /// The paper's configuration: DDR DSP timing.
     pub fn paper() -> Self {
-        FaultModel::new(DspTiming::paper_ddr(), DelayModel::default())
+        FaultModel::new(DspTiming::paper_ddr())
     }
 
     /// Timing parameters.
     pub fn timing(&self) -> &DspTiming {
         &self.timing
-    }
-
-    /// Delay-law parameters.
-    pub fn delay(&self) -> &DelayModel {
-        &self.delay
     }
 
     /// Closed-form per-op fault probabilities at rail voltage `v`.
@@ -139,7 +134,7 @@ impl FaultModel {
     /// `P(D > x) = clamp(((1+j) − x/(D_nom·f)) / 2j, 0, 1)`.
     pub fn probabilities(&self, v: f64) -> FaultProbabilities {
         let t = &self.timing;
-        let scaled = t.stage_delay_ps * self.delay.factor(v);
+        let scaled = t.stage_delay_ps * delay::factor(v);
         let j = t.jitter_frac;
         let exceed = |x_ps: f64| -> f64 {
             if j <= 0.0 {
@@ -154,7 +149,7 @@ impl FaultModel {
 
     /// Samples one op of a stage with nominal delay `stage_delay_ps`
     /// whose rail sits at delay-law factor `factor` (see
-    /// [`DelayModel::factor`]). Draws nothing when `scale <= 0`.
+    /// [`delay::factor`]). Draws nothing when `scale <= 0`.
     fn sample_factor(
         &self,
         stage_delay_ps: f64,
@@ -201,7 +196,7 @@ impl FaultModel {
     pub fn safe_voltage(&self) -> f64 {
         let t = &self.timing;
         // Need D_nom·f(v)·(1+j) ≤ B: the worst-case jittered path at budget.
-        self.delay.fault_threshold_voltage(t.stage_delay_ps * (1.0 + t.jitter_frac), t.budget_ps)
+        delay::fault_threshold_voltage(t.stage_delay_ps * (1.0 + t.jitter_frac), t.budget_ps)
     }
 
     /// Slack margin of the non-capture pipeline stages relative to the
@@ -216,7 +211,6 @@ impl FaultModel {
                 stage_delay_ps: self.timing.stage_delay_ps * Self::EARLY_STAGE_MARGIN,
                 ..self.timing
             },
-            delay: self.delay,
         }
     }
 
@@ -236,13 +230,16 @@ impl FaultModel {
         scale: f64,
         rng: &mut impl Rng,
     ) -> MacFault {
-        let (capture, in_flight) =
-            (self.delay.factor(v_capture), self.delay.factor(v_min_in_flight));
-        self.sample_pipelined_factors(capture, in_flight, scale, rng)
+        self.sample_pipelined_factors(
+            delay::factor(v_capture),
+            delay::factor(v_min_in_flight),
+            scale,
+            rng,
+        )
     }
 
     /// [`Self::sample_pipelined_scaled`] with the delay-law factors of
-    /// both voltages already evaluated (`self.delay().factor(v)`), for
+    /// both voltages already evaluated ([`delay::factor`]), for
     /// callers that price one voltage trace for many ops. This is the one
     /// sampler body: both entry points draw the same random numbers in the
     /// same order and return the same fault.
@@ -327,7 +324,7 @@ mod tests {
         let mut rnd = 0usize;
         // A nominal in-flight voltage leaves the early stages fault-free,
         // so only the capture stage's closed form applies.
-        let v_nom = m.delay().v_nom;
+        let v_nom = delay::V_NOM;
         for _ in 0..n {
             match m.sample_pipelined_scaled(v, v_nom, 1.0, &mut rng) {
                 MacFault::Duplicate => dup += 1,
@@ -343,9 +340,8 @@ mod tests {
 
     #[test]
     fn ddr_is_more_vulnerable_than_sdr() {
-        let delay = DelayModel::default();
-        let ddr = FaultModel::new(DspTiming::paper_ddr(), delay);
-        let sdr = FaultModel::new(DspTiming::paper_sdr(), delay);
+        let ddr = FaultModel::new(DspTiming::paper_ddr());
+        let sdr = FaultModel::new(DspTiming::paper_sdr());
         let v = 0.84;
         assert!(ddr.probabilities(v).total() > 0.0);
         assert_eq!(sdr.probabilities(v).total(), 0.0, "SDR has huge slack");
@@ -359,6 +355,18 @@ mod tests {
         assert!((0.5..1.0).contains(&v_safe), "safe voltage {v_safe}");
         assert_eq!(m.probabilities(v_safe + 0.005).total(), 0.0);
         assert!(m.probabilities(v_safe - 0.01).total() > 0.0);
+    }
+
+    #[test]
+    fn calibrated_operating_point_is_pinned() {
+        // Fig. 6b's fault onset is calibrated against these thresholds: an
+        // edit to a delay-law constant or to the DSP timing must show up
+        // here, not as a silent re-calibration of the figures.
+        let ddr = FaultModel::paper();
+        assert_eq!(ddr.safe_voltage().to_bits(), 0x3fec_0a48_2f5c_c001);
+        let sdr = FaultModel::new(DspTiming::paper_sdr());
+        assert_eq!(sdr.safe_voltage().to_bits(), 0x3fe5_14a4_61ce_4047);
+        assert_eq!(ddr.early_stage().safe_voltage().to_bits(), 0x3fe8_b273_5f59_8867);
     }
 
     #[test]

@@ -13,65 +13,41 @@
 use crate::schedule::{Schedule, StageKind};
 
 /// Current signature of one stage kind.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurrentSignature {
+struct Signature {
     /// Mean draw in amps while the stage executes.
-    pub mean: f64,
+    mean: f64,
     /// Peak amplitude of the periodic (loop-rhythm) component, in amps.
-    pub ripple: f64,
+    ripple: f64,
     /// Period of the rhythm, in cycles.
-    pub ripple_period: u64,
+    ripple_period: u64,
     /// Peak amplitude of the pseudo-random component, in amps.
-    pub noise: f64,
+    noise: f64,
 }
 
-/// Per-kind current signatures plus the idle floor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActivityModel {
-    /// Convolution signature.
-    pub conv: CurrentSignature,
-    /// Pooling signature.
-    pub pool: CurrentSignature,
-    /// Dense signature.
-    pub dense: CurrentSignature,
-    /// Static + clock-tree draw during stalls, in amps.
-    pub idle: f64,
-}
+/// Convolution signature.
+const CONV: Signature = Signature { mean: 1.10, ripple: 0.22, ripple_period: 96, noise: 0.25 };
+/// Pooling signature.
+const POOL: Signature = Signature { mean: 0.52, ripple: 0.05, ripple_period: 48, noise: 0.08 };
+/// Dense signature.
+const DENSE: Signature = Signature { mean: 0.90, ripple: 0.15, ripple_period: 256, noise: 0.16 };
+/// Static + clock-tree draw during stalls, in amps.
+pub const IDLE_A: f64 = 0.15;
 
-impl Default for ActivityModel {
-    fn default() -> Self {
-        ActivityModel {
-            conv: CurrentSignature { mean: 1.10, ripple: 0.22, ripple_period: 96, noise: 0.25 },
-            pool: CurrentSignature { mean: 0.52, ripple: 0.05, ripple_period: 48, noise: 0.08 },
-            dense: CurrentSignature { mean: 0.90, ripple: 0.15, ripple_period: 256, noise: 0.16 },
-            idle: 0.15,
-        }
-    }
-}
-
-impl ActivityModel {
-    /// Signature for a stage kind.
-    pub fn signature(&self, kind: StageKind) -> &CurrentSignature {
-        match kind {
-            StageKind::Conv => &self.conv,
-            StageKind::Pool => &self.pool,
-            StageKind::Dense => &self.dense,
-        }
-    }
-
-    /// Victim current draw at an absolute schedule cycle, in amps.
-    pub fn current_at(&self, schedule: &Schedule, cycle: u64) -> f64 {
-        match schedule.stage_at(cycle) {
-            None => self.idle,
-            Some(w) => {
-                let sig = self.signature(w.kind);
-                let local = cycle - w.start_cycle;
-                let phase = local % sig.ripple_period.max(1);
-                let wave =
-                    (phase as f64 / sig.ripple_period.max(1) as f64 * std::f64::consts::TAU).sin();
-                let noise = hash_noise(cycle, stage_seed(&w.name));
-                (sig.mean + sig.ripple * wave + sig.noise * noise).max(0.0)
-            }
+/// Victim current draw at an absolute schedule cycle, in amps.
+pub fn current_at(schedule: &Schedule, cycle: u64) -> f64 {
+    match schedule.stage_at(cycle) {
+        None => IDLE_A,
+        Some(w) => {
+            let sig = match w.kind {
+                StageKind::Conv => CONV,
+                StageKind::Pool => POOL,
+                StageKind::Dense => DENSE,
+            };
+            let local = cycle - w.start_cycle;
+            let phase = local % sig.ripple_period;
+            let wave = (phase as f64 / sig.ripple_period as f64 * std::f64::consts::TAU).sin();
+            let noise = hash_noise(cycle, stage_seed(&w.name));
+            (sig.mean + sig.ripple * wave + sig.noise * noise).max(0.0)
         }
     }
 }
@@ -107,11 +83,10 @@ mod tests {
         Schedule::for_network(&q, &AccelConfig::default())
     }
 
-    fn window_stats(m: &ActivityModel, s: &Schedule, name: &str) -> (f64, f64) {
+    fn window_stats(s: &Schedule, name: &str) -> (f64, f64) {
         let w = s.window(name).unwrap();
         let n = w.cycles.min(4000);
-        let vals: Vec<f64> =
-            (w.start_cycle..w.start_cycle + n).map(|c| m.current_at(s, c)).collect();
+        let vals: Vec<f64> = (w.start_cycle..w.start_cycle + n).map(|c| current_at(s, c)).collect();
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
         let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
         (mean, var)
@@ -119,30 +94,27 @@ mod tests {
 
     #[test]
     fn conv_draws_more_and_fluctuates_more_than_pool() {
-        let m = ActivityModel::default();
         let s = schedule();
-        let (conv_mean, conv_var) = window_stats(&m, &s, "conv2");
-        let (pool_mean, pool_var) = window_stats(&m, &s, "pool1");
+        let (conv_mean, conv_var) = window_stats(&s, "conv2");
+        let (pool_mean, pool_var) = window_stats(&s, "pool1");
         assert!(conv_mean > 2.0 * pool_mean, "conv {conv_mean} vs pool {pool_mean}");
         assert!(conv_var > 5.0 * pool_var, "conv var {conv_var} vs pool var {pool_var}");
     }
 
     #[test]
     fn stalls_draw_the_idle_floor() {
-        let m = ActivityModel::default();
         let s = schedule();
-        assert_eq!(m.current_at(&s, 0), m.idle);
+        assert_eq!(current_at(&s, 0), IDLE_A);
         let after = s.window("conv1").unwrap().end_cycle() + 1;
-        assert_eq!(m.current_at(&s, after), m.idle);
+        assert_eq!(current_at(&s, after), IDLE_A);
     }
 
     #[test]
     fn current_is_deterministic_and_nonnegative() {
-        let m = ActivityModel::default();
         let s = schedule();
         for c in (0..s.total_cycles()).step_by(997) {
-            let a = m.current_at(&s, c);
-            let b = m.current_at(&s, c);
+            let a = current_at(&s, c);
+            let b = current_at(&s, c);
             assert_eq!(a, b, "cycle {c} not deterministic");
             assert!(a >= 0.0);
         }
@@ -152,13 +124,12 @@ mod tests {
     fn different_stages_have_different_noise_streams() {
         // Same local cycle offset in two conv layers must not produce the
         // same draw pattern (stage seed differs).
-        let m = ActivityModel::default();
         let s = schedule();
         let c1 = s.window("conv1").unwrap();
         let c2 = s.window("conv2").unwrap();
         let diffs = (0..200u64)
             .filter(|&k| {
-                (m.current_at(&s, c1.start_cycle + k) - m.current_at(&s, c2.start_cycle + k)).abs()
+                (current_at(&s, c1.start_cycle + k) - current_at(&s, c2.start_cycle + k)).abs()
                     > 1e-9
             })
             .count();

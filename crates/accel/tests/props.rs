@@ -9,7 +9,6 @@ use dnn::layers::{Conv2d, Dense, MaxPool2d, Tanh};
 use dnn::network::Sequential;
 use dnn::quant::QuantizedNetwork;
 use dnn::tensor::Tensor;
-use pdn::delay::DelayModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,7 +98,6 @@ proptest! {
     ) {
         let m = FaultModel::new(
             DspTiming { stage_delay_ps: stage, budget_ps: 5_000.0, window_frac: window, jitter_frac: jitter },
-            DelayModel::default(),
         );
         let p = m.probabilities(v);
         prop_assert!(p.duplicate >= 0.0 && p.random >= 0.0);

@@ -11,7 +11,6 @@ use deepstrike::profile::segment_trace;
 use dnn::fixed::QFormat;
 use dnn::quant::QuantizedNetwork;
 use dnn::zoo::mlp;
-use pdn::delay::DelayModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,11 +54,10 @@ fn bench_schedule(c: &mut Criterion) {
 /// DSP clocking at the same strike voltage — the design choice the paper
 /// blames for DSP vulnerability.
 fn bench_ddr_ablation(c: &mut Criterion) {
-    let delay = DelayModel::default();
     let mut group = c.benchmark_group("ablation_ddr_vs_sdr");
     for (name, timing) in [("ddr", DspTiming::paper_ddr()), ("sdr", DspTiming::paper_sdr())] {
         group.bench_function(name, |b| {
-            let model = FaultModel::new(timing, delay);
+            let model = FaultModel::new(timing);
             b.iter(|| {
                 let mut pe = PeArray::new(8, model);
                 let mut rng = StdRng::seed_from_u64(1);

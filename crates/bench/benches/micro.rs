@@ -24,12 +24,12 @@ use rand::{Rng, SeedableRng};
 
 fn bench_pdn(c: &mut Criterion) {
     c.bench_function("pdn/lumped_step", |b| {
-        let mut pdn = LumpedPdn::zynq_like();
+        let mut pdn = LumpedPdn::new();
         b.iter(|| black_box(pdn.step(black_box(1.3), 1e-9)));
     });
     // Settled mesh: the bit-unchanged early exit fires after one sweep.
     c.bench_function("pdn/spatial_step_160_nodes", |b| {
-        let mut grid = SpatialPdn::zynq_like();
+        let mut grid = SpatialPdn::new();
         let node = grid.node_at_fraction(0.2, 0.5);
         grid.inject(node, 1.0).unwrap();
         b.iter(|| black_box(grid.step(1e-9)));
@@ -37,7 +37,7 @@ fn bench_pdn(c: &mut Criterion) {
     // Re-excited mesh: the injection changes every step, so every sweep
     // runs — the pre-optimisation cost profile.
     c.bench_function("pdn/spatial_step_160_nodes_transient", |b| {
-        let mut grid = SpatialPdn::zynq_like();
+        let mut grid = SpatialPdn::new();
         let node = grid.node_at_fraction(0.2, 0.5);
         let mut amps = 1.0;
         b.iter(|| {

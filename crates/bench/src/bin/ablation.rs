@@ -13,9 +13,7 @@ use accel::fault::{DspTiming, FaultModel};
 use accel::pe::PeArray;
 use bench::{emit_series, HARNESS_SEED};
 use deepstrike::striker::StrikerBank;
-use pdn::delay::DelayModel;
-use pdn::grid::{GridParams, SpatialPdn};
-use pdn::rlc::LumpedPdn;
+use pdn::grid::SpatialPdn;
 use pdn::thermal::ThermalModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,8 +21,7 @@ use rand::{Rng, SeedableRng};
 /// Worst droop at the victim node for a strike of `on_cycles` from a bank
 /// at `attacker_fx` (victim fixed at fx = 0.12).
 fn strike_droop(cells: usize, on_cycles: usize, attacker_fx: f64) -> (f64, f64) {
-    let mut grid =
-        SpatialPdn::new(LumpedPdn::zynq_like(), GridParams::default()).expect("default grid");
+    let mut grid = SpatialPdn::new();
     let victim = grid.node_at_fraction(0.12, 0.5);
     let attacker = grid.node_at_fraction(attacker_fx, 0.5);
     grid.inject(victim, 1.0).expect("victim node");
@@ -95,10 +92,9 @@ fn main() {
     );
 
     // --- Ablation 3: DDR vs SDR ------------------------------------------
-    let delay = DelayModel::default();
     let clockings = [("ddr", DspTiming::paper_ddr()), ("sdr", DspTiming::paper_sdr())];
     let clocking_points = par::map_items(&clockings, |&(name, timing)| {
-        let m = FaultModel::new(timing, delay);
+        let m = FaultModel::new(timing);
         let mut pe = PeArray::new(8, m);
         let mut rng = StdRng::seed_from_u64(HARNESS_SEED);
         let mut op_rng = StdRng::seed_from_u64(1);

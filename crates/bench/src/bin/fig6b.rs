@@ -22,7 +22,7 @@ const OPS: usize = 10_000;
 /// strike from `cells` striker cells, via the transient PDN model with
 /// the DSP test circuit drawing its own current.
 fn strike_voltage(cells: usize) -> f64 {
-    let mut pdn = LumpedPdn::zynq_like();
+    let mut pdn = LumpedPdn::new();
     let test_circuit_a = 0.35; // the DSP harness + control logic
     pdn.settle(test_circuit_a);
     if cells == 0 {

@@ -274,7 +274,6 @@ impl StrikeTables {
         let voltage = &run.victim_voltage;
         let safe_voltage = fault_model.safe_voltage();
         let early_safe_voltage = fault_model.early_stage().safe_voltage();
-        let delay = fault_model.delay();
         let mut factors = Vec::new();
         let stages = schedule
             .windows()
@@ -309,7 +308,7 @@ impl StrikeTables {
                             factors: factors.len(),
                         }),
                     }
-                    factors.push((delay.factor(v_capture), delay.factor(v_min)));
+                    factors.push((pdn::delay::factor(v_capture), pdn::delay::factor(v_min)));
                 }
                 StageTable { window: w.clone(), spans }
             })
@@ -757,7 +756,7 @@ mod tests {
                     .filter(|&(c, m)| {
                         !(c >= model.safe_voltage() && m >= model.early_stage().safe_voltage())
                     })
-                    .map(|(c, m)| (model.delay().factor(c), model.delay().factor(m)));
+                    .map(|(c, m)| (pdn::delay::factor(c), pdn::delay::factor(m)));
                 let span = table.spans.iter().find(|s| s.ops.contains(&op));
                 let found =
                     span.map(|s| tables.factors[s.factors + (cycle - s.first_cycle) as usize]);

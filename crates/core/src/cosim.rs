@@ -19,11 +19,10 @@
 
 use std::collections::VecDeque;
 
-use accel::power::ActivityModel;
+use accel::power;
 use accel::schedule::{AccelConfig, Schedule};
 use dnn::quant::QuantizedNetwork;
-use pdn::grid::{GridParams, NodeId, SpatialPdn};
-use pdn::rlc::LumpedPdn;
+use pdn::grid::{NodeId, SpatialPdn};
 use pdn::thermal::ThermalModel;
 use uart::proto::StatusInfo;
 use uart::transport::ShellHandler;
@@ -41,8 +40,6 @@ const VICTIM_POS: (f64, f64) = (0.12, 0.5);
 const ATTACKER_POS: (f64, f64) = (0.88, 0.5);
 /// TDC readout ring-buffer capacity for UART reads, in samples.
 const TRACE_CAPACITY: usize = 1 << 20;
-/// Warm-started mesh relaxation sweeps per PDN substep.
-const MESH_SWEEPS: usize = 2;
 
 /// Co-simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,7 +102,6 @@ impl InferenceRun {
 pub struct CloudFpga {
     pub(crate) config: CosimConfig,
     pub(crate) schedule: Schedule,
-    pub(crate) activity: ActivityModel,
     pub(crate) pdn: SpatialPdn,
     pub(crate) victim_node: NodeId,
     pub(crate) attacker_node: NodeId,
@@ -141,10 +137,7 @@ impl CloudFpga {
         config: CosimConfig,
     ) -> Result<Self> {
         let schedule = Schedule::for_network(victim, accel_config);
-        let pdn = SpatialPdn::new(
-            LumpedPdn::zynq_like(),
-            GridParams { sweeps: MESH_SWEEPS, ..GridParams::default() },
-        )?;
+        let pdn = SpatialPdn::new();
         let victim_node = pdn.node_at_fraction(VICTIM_POS.0, VICTIM_POS.1);
         let attacker_node = pdn.node_at_fraction(ATTACKER_POS.0, ATTACKER_POS.1);
         let tdc = TdcSensor::calibrated()?;
@@ -155,7 +148,6 @@ impl CloudFpga {
         Ok(CloudFpga {
             config,
             schedule,
-            activity: ActivityModel::default(),
             pdn,
             victim_node,
             attacker_node,
@@ -197,9 +189,7 @@ impl CloudFpga {
     pub fn settle(&mut self, cycles: u64) {
         let dt = self.substep_dt();
         for _ in 0..cycles {
-            self.pdn
-                .inject(self.victim_node, self.activity.idle)
-                .expect("victim node is on the mesh");
+            self.pdn.inject(self.victim_node, power::IDLE_A).expect("victim node is on the mesh");
             for _ in 0..self.config.pdn_substeps {
                 self.pdn.step(dt);
             }
@@ -237,7 +227,7 @@ impl CloudFpga {
         let tdc_every = (substeps / 2).max(1);
 
         // Victim current for this cycle.
-        let i_victim = self.activity.current_at(&self.schedule, cycle);
+        let i_victim = power::current_at(&self.schedule, cycle);
         // Scheduler decides the striker level using the latest sample.
         let was_triggered = self.scheduler.detector().is_triggered();
         let enable = self.scheduler.clock(rec.last_raw.take());
@@ -302,18 +292,12 @@ impl CloudFpga {
 
     /// Runs the post-loop conformance pass and packages the recording.
     pub(crate) fn finish_run(&mut self, rec: RunRecorder) -> InferenceRun {
-        let dt = self.substep_dt();
-        let substeps = self.config.pdn_substeps;
         // Post-run PDN conformance pass: when recording, summarise every
         // victim-rail excursion below the DSP fault threshold (the
         // emission lives in `pdn::analysis::glitch_windows`).
         if trace::is_collecting() {
-            if let Ok(t) =
-                pdn::trace::Trace::from_samples(dt * substeps as f64, rec.victim_voltage.clone())
-            {
-                let safe = accel::fault::FaultModel::paper().safe_voltage();
-                let _ = pdn::analysis::glitch_windows(&t, safe);
-            }
+            let safe = accel::fault::FaultModel::paper().safe_voltage();
+            let _ = pdn::analysis::glitch_windows(&rec.victim_voltage, safe);
         }
         InferenceRun {
             tdc_trace: rec.tdc_trace,
@@ -330,7 +314,6 @@ impl CloudFpga {
     pub fn state_eq(&self, other: &CloudFpga) -> bool {
         self.config == other.config
             && self.schedule == other.schedule
-            && self.activity == other.activity
             && self.pdn == other.pdn
             && self.victim_node == other.victim_node
             && self.attacker_node == other.attacker_node

@@ -68,11 +68,6 @@ impl AttackScheduler {
         &mut self.ram
     }
 
-    /// Whether playback was force-started (blind mode).
-    pub fn is_forced(&self) -> bool {
-        self.forced
-    }
-
     /// Loads an attack scheme into the signal RAM (disarms first).
     ///
     /// # Errors

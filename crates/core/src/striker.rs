@@ -11,45 +11,34 @@
 
 use fpga_fabric::netlist::{Netlist, ResourceUsage};
 use fpga_fabric::primitive::{Ldce, Lut6_2, PrimitiveKind};
-use pdn::delay::DelayModel;
+use pdn::delay;
 
 use crate::error::{DeepStrikeError, Result};
 
-/// Electrical model of one striker cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellModel {
-    /// Effective switched capacitance per oscillator loop, in farads.
-    pub c_eff: f64,
-    /// Logic delay around one loop at nominal voltage, in seconds.
-    pub loop_delay_s: f64,
+// Electrical model of one striker cell. The loop is a LUT (124 ps), a
+// latch (280 ps) and local routing (~100 ps). About 280 fF of switched
+// capacitance per loop (LUT output, both latch loads and the local
+// routing they toggle) gives ≈ 0.28 mA per loop at 1 V / ≈ 1 GHz,
+// ≈ 0.55 mA per dual-loop cell, ≈ 13 W for a 24,000-cell bank.
+// Calibrated so a 10 ns strike from 24k cells droops the rail past the
+// all-random fault threshold (Fig. 6b's ≈ 100% total rate) with fault
+// onset near 10k cells.
+
+/// Effective switched capacitance per oscillator loop, in farads.
+const C_EFF: f64 = 280e-15;
+/// Logic delay around one loop at nominal voltage, in seconds.
+const LOOP_DELAY_S: f64 = (124.0 + 280.0 + 100.0) * 1e-12;
+
+/// Oscillation frequency of one loop at voltage `v` (the loop slows as
+/// the rail droops, a small self-limiting effect).
+fn frequency_hz(v: f64) -> f64 {
+    1.0 / (2.0 * LOOP_DELAY_S * delay::factor(v))
 }
 
-impl Default for CellModel {
-    fn default() -> Self {
-        // Loop = LUT (124 ps) + latch (280 ps) + local routing (~100 ps).
-        let loop_delay_s = (124.0 + 280.0 + 100.0) * 1e-12;
-        // ~280 fF of switched capacitance per loop (LUT output, both latch
-        // loads and the local routing they toggle) — ≈ 0.28 mA per loop at
-        // 1 V / ≈ 1 GHz, ≈ 0.55 mA per dual-loop cell, ≈ 13 W for a
-        // 24,000-cell bank. Calibrated so a 10 ns strike from 24k cells
-        // droops the rail past the all-random fault threshold (Fig. 6b's
-        // ≈ 100% total rate) with fault onset near 10k cells.
-        CellModel { c_eff: 280e-15, loop_delay_s }
-    }
-}
-
-impl CellModel {
-    /// Oscillation frequency of one loop at voltage `v` (the loop slows as
-    /// the rail droops, a small self-limiting effect).
-    pub fn frequency_hz(&self, v: f64, delay: &DelayModel) -> f64 {
-        1.0 / (2.0 * self.loop_delay_s * delay.factor(v))
-    }
-
-    /// Average current of one dual-loop cell at voltage `v`, in amps
-    /// (`I = 2 · C_eff · f(V) · V`).
-    pub fn cell_current_a(&self, v: f64, delay: &DelayModel) -> f64 {
-        2.0 * self.c_eff * self.frequency_hz(v, delay) * v.max(0.0)
-    }
+/// Average current of one dual-loop cell at voltage `v`, in amps
+/// (`I = 2 · C_eff · f(V) · V`).
+fn cell_current_a(v: f64) -> f64 {
+    2.0 * C_EFF * frequency_hz(v) * v.max(0.0)
 }
 
 /// A bank of striker cells behind one `Start` signal.
@@ -69,8 +58,6 @@ impl CellModel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrikerBank {
     cells: usize,
-    model: CellModel,
-    delay: DelayModel,
     enabled: bool,
     activations: u64,
 }
@@ -85,13 +72,7 @@ impl StrikerBank {
         if cells == 0 {
             return Err(DeepStrikeError::InvalidConfig("striker bank needs cells".into()));
         }
-        Ok(StrikerBank {
-            cells,
-            model: CellModel::default(),
-            delay: DelayModel::default(),
-            enabled: false,
-            activations: 0,
-        })
+        Ok(StrikerBank { cells, enabled: false, activations: 0 })
     }
 
     /// Number of cells.
@@ -123,7 +104,7 @@ impl StrikerBank {
         if !self.enabled {
             return 0.0;
         }
-        self.cells as f64 * self.model.cell_current_a(v, &self.delay)
+        self.cells as f64 * cell_current_a(v)
     }
 
     /// Power dissipated at rail voltage `v`, in watts.

@@ -15,7 +15,7 @@
 use fpga_fabric::clock::{ClockSpec, Mmcm};
 use fpga_fabric::netlist::Netlist;
 use fpga_fabric::primitive::{Carry4, PrimitiveKind};
-use pdn::delay::DelayModel;
+use pdn::delay;
 
 use crate::error::{DeepStrikeError, Result};
 
@@ -62,7 +62,6 @@ pub struct TdcReading {
 pub struct TdcSensor {
     launch: ClockSpec,
     sample_clock: ClockSpec,
-    delay_model: DelayModel,
     /// Dither amplitude in carry stages; calibration probes run with 0.
     dither_stages: f64,
     sample_counter: u64,
@@ -77,7 +76,6 @@ impl TdcSensor {
         Ok(TdcSensor {
             launch,
             sample_clock,
-            delay_model: DelayModel::default(),
             dither_stages: DITHER_STAGES,
             sample_counter: 0,
             samples_taken: 0,
@@ -108,7 +106,7 @@ impl TdcSensor {
             }
             let mut probe = TdcSensor::with_theta(theta)?;
             probe.dither_stages = 0.0;
-            let got = i32::from(probe.sample(probe.delay_model.v_nom).count);
+            let got = i32::from(probe.sample(delay::V_NOM).count);
             let err = (got - i32::from(TARGET_COUNT)).abs();
             if best.is_none_or(|(_, e)| err < e) {
                 best = Some((theta, err));
@@ -153,7 +151,7 @@ impl TdcSensor {
     /// `(θ_ps − t_lut·k(V)) / (t_stage·k(V))` where `k` is the alpha-power
     /// delay factor; a deterministic triangular dither models clock jitter.
     pub fn sample(&mut self, voltage: f64) -> TdcReading {
-        let factor = self.delay_model.factor(voltage);
+        let factor = delay::factor(voltage);
         let theta_ps = self.sample_clock.phase_ps();
         let lut_ps = Self::lut_delay_ps() * factor;
         let stage_ps = Carry4::per_stage_delay_ps() * factor;

@@ -97,11 +97,6 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to the layer stack (for parameter I/O).
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
     /// Structural description of every layer, in order.
     pub fn kinds(&self) -> Vec<LayerKind> {
         self.layers.iter().map(|l| l.kind()).collect()

@@ -153,12 +153,6 @@ impl SiteGrid {
         }
         Ok(cap)
     }
-
-    /// Whole-device capacity.
-    pub fn total_capacity(&self) -> RegionCapacity {
-        self.capacity(&Region::new(0, 0, self.cols - 1, self.rows - 1))
-            .expect("full region is always in range")
-    }
 }
 
 /// Sites available inside a region.

@@ -51,24 +51,9 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Net driving input pin `k`, if connected.
-    pub fn input_net(&self, k: usize) -> Option<NetId> {
-        self.nets_in.get(k).copied().flatten()
-    }
-
-    /// Net driven by output pin `k`, if connected.
-    pub fn output_net(&self, k: usize) -> Option<NetId> {
-        self.nets_out.get(k).copied().flatten()
-    }
-
     /// All connected input nets.
     pub fn input_nets(&self) -> impl Iterator<Item = NetId> + '_ {
         self.nets_in.iter().filter_map(|n| *n)
-    }
-
-    /// All connected output nets.
-    pub fn output_nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.nets_out.iter().filter_map(|n| *n)
     }
 }
 
@@ -166,11 +151,6 @@ impl Netlist {
     /// Number of cells.
     pub fn cell_count(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of nets.
-    pub fn net_count(&self) -> usize {
-        self.nets.len()
     }
 
     /// Adds a primitive cell and returns its id.

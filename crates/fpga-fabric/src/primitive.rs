@@ -282,11 +282,6 @@ impl Ldce {
         }
         self.q
     }
-
-    /// Whether the latch is currently transparent for the given controls.
-    pub fn is_transparent(g: bool, ge: bool, clr: bool) -> bool {
-        !clr && g && ge
-    }
 }
 
 /// D flip-flop with clock enable and synchronous reset (`FDRE`).

@@ -4,126 +4,80 @@
 //! propagation time in FPGA components that share the same PDN, inducing
 //! timing violations and computation or data loading faults". This module
 //! provides the standard alpha-power-law delay model used for that
-//! conversion, plus slack helpers the DSP fault model builds on.
+//! conversion:
+//!
+//! `t_pd(V) = t_nom · ((V_nom − V_th)/(V − V_th))^α`
+//!
+//! with `α ≈ 1.3` for deep-submicron CMOS and `V_th` the effective
+//! threshold. As `V` approaches `V_th` the delay diverges — captured here
+//! with a saturating cap so the simulation stays finite even through a
+//! crash-level glitch. The law's four parameters are fixed constants of
+//! the modelled 28 nm board; the DSP fault model, the TDC sensor and the
+//! striker cells all read the law through [`factor`].
 
-use crate::error::{PdnError, Result};
+/// Nominal rail voltage in volts.
+pub const V_NOM: f64 = 1.0;
+/// Effective threshold voltage in volts.
+const V_TH: f64 = 0.35;
+/// Velocity-saturation exponent.
+const ALPHA: f64 = 1.3;
+/// Largest delay multiplier returned (model saturation).
+const MAX_FACTOR: f64 = 100.0;
 
-/// Alpha-power-law delay model: `t_pd(V) = t_nom · ((V_nom − V_th)/(V − V_th))^α`.
+/// Delay multiplier relative to nominal at voltage `v`.
 ///
-/// `α ≈ 1.3` for deep-submicron CMOS; `V_th` is the effective threshold.
-/// As `V` approaches `V_th` the delay diverges — captured here with a
-/// saturating cap so the simulation stays finite even through a crash-level
-/// glitch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayModel {
-    /// Nominal rail voltage in volts.
-    pub v_nom: f64,
-    /// Effective threshold voltage in volts.
-    pub v_th: f64,
-    /// Velocity-saturation exponent.
-    pub alpha: f64,
-    /// Largest delay multiplier returned (model saturation).
-    pub max_factor: f64,
+/// Returns 1.0 at `v = V_NOM`, grows as `v` falls, saturates at 100 at and
+/// below threshold. Overdrive (`v > V_NOM`) speeds paths up (factor < 1),
+/// floored at 0.5.
+pub fn factor(v: f64) -> f64 {
+    if !v.is_finite() {
+        return MAX_FACTOR;
+    }
+    let headroom = v - V_TH;
+    if headroom <= 0.0 {
+        return MAX_FACTOR;
+    }
+    let nominal_headroom = V_NOM - V_TH;
+    ((nominal_headroom / headroom).powf(ALPHA)).clamp(0.5, MAX_FACTOR)
 }
 
-impl Default for DelayModel {
-    fn default() -> Self {
-        DelayModel { v_nom: 1.0, v_th: 0.35, alpha: 1.3, max_factor: 100.0 }
+/// The voltage below which a path with `nominal_ps` of logic delay misses
+/// a capture edge `budget_ps` after launch (i.e. the fault threshold
+/// voltage for that path).
+///
+/// Solves `factor(v) = budget/nominal` for `v`. Returns the threshold
+/// voltage if even the saturated model cannot miss the budget (infinitely
+/// robust path), and [`V_NOM`] if the budget cannot be met at all —
+/// callers treat voltages at/below the returned value as faulting.
+pub fn fault_threshold_voltage(nominal_ps: f64, budget_ps: f64) -> f64 {
+    if nominal_ps <= 0.0 || budget_ps <= nominal_ps * 0.5 {
+        // Budget below the floored fastest delay: always faulting.
+        return V_NOM;
     }
-}
-
-impl DelayModel {
-    /// Creates a validated model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidParameter`] if `v_nom <= v_th`, or any
-    /// field is non-finite/non-positive.
-    pub fn new(v_nom: f64, v_th: f64, alpha: f64, max_factor: f64) -> Result<Self> {
-        for (name, value) in
-            [("v_nom", v_nom), ("v_th", v_th), ("alpha", alpha), ("max_factor", max_factor)]
-        {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(PdnError::InvalidParameter { name, value });
-            }
-        }
-        if v_nom <= v_th {
-            return Err(PdnError::InvalidParameter { name: "v_nom", value: v_nom });
-        }
-        if max_factor < 1.0 {
-            return Err(PdnError::InvalidParameter { name: "max_factor", value: max_factor });
-        }
-        Ok(DelayModel { v_nom, v_th, alpha, max_factor })
+    let required_factor = budget_ps / nominal_ps;
+    if required_factor >= MAX_FACTOR {
+        return V_TH;
     }
-
-    /// Delay multiplier relative to nominal at voltage `v`.
-    ///
-    /// Returns 1.0 at `v = v_nom`, grows as `v` falls, saturates at
-    /// [`DelayModel::max_factor`] at/below threshold. Overdrive (`v > v_nom`)
-    /// speeds paths up (factor < 1), floored at 0.5.
-    pub fn factor(&self, v: f64) -> f64 {
-        if !v.is_finite() {
-            return self.max_factor;
-        }
-        let headroom = v - self.v_th;
-        if headroom <= 0.0 {
-            return self.max_factor;
-        }
-        let nominal_headroom = self.v_nom - self.v_th;
-        ((nominal_headroom / headroom).powf(self.alpha)).clamp(0.5, self.max_factor)
-    }
-
-    /// Scaled propagation delay in picoseconds.
-    pub fn delay_ps(&self, nominal_ps: f64, v: f64) -> f64 {
-        nominal_ps * self.factor(v)
-    }
-
-    /// The voltage below which a path with `nominal_ps` of logic delay
-    /// misses a capture edge `budget_ps` after launch (i.e. the fault
-    /// threshold voltage for that path).
-    ///
-    /// Solves `factor(v) = budget/nominal` for `v`. Returns `v_th` if even
-    /// the saturated model cannot miss the budget (infinitely robust path)
-    /// — callers treat voltages at/below the returned value as faulting.
-    pub fn fault_threshold_voltage(&self, nominal_ps: f64, budget_ps: f64) -> f64 {
-        if nominal_ps <= 0.0 || budget_ps <= nominal_ps * 0.5 {
-            // Budget below the floored fastest delay: always faulting.
-            return self.v_nom;
-        }
-        let required_factor = budget_ps / nominal_ps;
-        if required_factor >= self.max_factor {
-            return self.v_th;
-        }
-        // factor = ((v_nom - v_th)/(v - v_th))^alpha  =>
-        // v = v_th + (v_nom - v_th) / factor^(1/alpha)
-        self.v_th + (self.v_nom - self.v_th) / required_factor.powf(1.0 / self.alpha)
-    }
-
-    /// Timing slack in picoseconds for a path at voltage `v`:
-    /// `budget − nominal·factor(v)`. Negative slack ⇒ timing violation.
-    pub fn slack_ps(&self, nominal_ps: f64, budget_ps: f64, v: f64) -> f64 {
-        budget_ps - self.delay_ps(nominal_ps, v)
-    }
+    // factor = ((v_nom - v_th)/(v - v_th))^alpha  =>
+    // v = v_th + (v_nom - v_th) / factor^(1/alpha)
+    V_TH + (V_NOM - V_TH) / required_factor.powf(1.0 / ALPHA)
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     #[test]
     fn nominal_voltage_gives_unity_factor() {
-        let m = DelayModel::default();
-        assert!((m.factor(1.0) - 1.0).abs() < 1e-12);
+        assert!((factor(1.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn factor_is_monotone_decreasing_in_voltage() {
-        let m = DelayModel::default();
         let mut prev = f64::INFINITY;
         let mut v = 0.30;
         while v < 1.2 {
-            let f = m.factor(v);
+            let f = factor(v);
             assert!(f <= prev + 1e-12, "factor must not increase with voltage");
             prev = f;
             v += 0.01;
@@ -132,37 +86,33 @@ mod tests {
 
     #[test]
     fn saturates_at_threshold_and_below() {
-        let m = DelayModel::default();
-        assert_eq!(m.factor(0.35), 100.0);
-        assert_eq!(m.factor(0.0), 100.0);
-        assert_eq!(m.factor(f64::NAN), 100.0);
+        assert_eq!(factor(0.35), 100.0);
+        assert_eq!(factor(0.0), 100.0);
+        assert_eq!(factor(f64::NAN), 100.0);
     }
 
     #[test]
     fn overdrive_floors_at_half() {
-        let m = DelayModel::default();
-        assert!(m.factor(5.0) >= 0.5);
+        assert!(factor(5.0) >= 0.5);
     }
 
     #[test]
     fn fault_threshold_roundtrips_with_factor() {
-        let m = DelayModel::default();
         // A path with 4000 ps logic in a 5000 ps budget.
-        let v_fault = m.fault_threshold_voltage(4000.0, 5000.0);
-        assert!(v_fault > m.v_th && v_fault < m.v_nom, "threshold {v_fault}");
+        let v_fault = fault_threshold_voltage(4000.0, 5000.0);
+        assert!(v_fault > V_TH && v_fault < V_NOM, "threshold {v_fault}");
         // Exactly at the threshold the delay equals the budget.
-        let d = m.delay_ps(4000.0, v_fault);
+        let d = 4000.0 * factor(v_fault);
         assert!((d - 5000.0).abs() < 1.0, "delay at threshold {d}");
         // Slightly above: meets timing. Slightly below: violates.
-        assert!(m.slack_ps(4000.0, 5000.0, v_fault + 0.01) > 0.0);
-        assert!(m.slack_ps(4000.0, 5000.0, v_fault - 0.01) < 0.0);
+        assert!(4000.0 * factor(v_fault + 0.01) < 5000.0);
+        assert!(4000.0 * factor(v_fault - 0.01) > 5000.0);
     }
 
     #[test]
     fn tight_paths_fault_at_higher_voltage() {
-        let m = DelayModel::default();
-        let relaxed = m.fault_threshold_voltage(2500.0, 5000.0);
-        let tight = m.fault_threshold_voltage(4500.0, 5000.0);
+        let relaxed = fault_threshold_voltage(2500.0, 5000.0);
+        let tight = fault_threshold_voltage(4500.0, 5000.0);
         assert!(
             tight > relaxed,
             "tighter path must fault earlier: tight {tight} vs relaxed {relaxed}"
@@ -171,16 +121,7 @@ mod tests {
 
     #[test]
     fn degenerate_budgets() {
-        let m = DelayModel::default();
-        assert_eq!(m.fault_threshold_voltage(1000.0, 100.0), m.v_nom, "impossible budget");
-        assert_eq!(m.fault_threshold_voltage(10.0, 100_000.0), m.v_th, "unmissable budget");
-    }
-
-    #[test]
-    fn constructor_validation() {
-        assert!(DelayModel::new(0.3, 0.35, 1.3, 100.0).is_err(), "v_nom <= v_th");
-        assert!(DelayModel::new(1.0, 0.35, -1.0, 100.0).is_err());
-        assert!(DelayModel::new(1.0, 0.35, 1.3, 0.5).is_err());
-        assert!(DelayModel::new(1.0, 0.35, 1.3, 100.0).is_ok());
+        assert_eq!(fault_threshold_voltage(1000.0, 100.0), V_NOM, "impossible budget");
+        assert_eq!(fault_threshold_voltage(10.0, 100_000.0), V_TH, "unmissable budget");
     }
 }

@@ -16,16 +16,21 @@
 //! * [`thermal`] — a first-order thermal RC model; sustained striker
 //!   activity heats the die, which the paper warns "may increase the
 //!   temperature of the FPGA chip or even crash it".
-//! * [`trace`] — voltage-trace recording with the statistics the TDC
-//!   profiler consumes.
-//! * [`analysis`] — droop metrics (worst droop, glitch windows).
+//! * [`analysis`] — glitch windows over a per-cycle voltage series.
+//!
+//! The crate models one board, the paper's PYNQ-Z1 (Zynq-7020): every
+//! physical value — the supply's `VDD`, `R`, `L` and `C`, the mesh
+//! geometry, conductances and sweep count, the delay law's `V_NOM`,
+//! `V_TH`, `ALPHA` and `MAX_FACTOR`, and the thermal RC — is a named
+//! constant in the module that owns it, so the constructors take no
+//! parameters and cannot fail.
 //!
 //! # Example
 //!
 //! ```
 //! use pdn::rlc::LumpedPdn;
 //!
-//! let mut pdn = LumpedPdn::zynq_like();
+//! let mut pdn = LumpedPdn::new();
 //! // 1 µs of quiet, then a 5 A striker burst for 10 ns.
 //! let dt = 1e-9;
 //! for _ in 0..1000 { pdn.step(0.5, dt); }
@@ -42,7 +47,6 @@ pub mod delay;
 pub mod grid;
 pub mod rlc;
 pub mod thermal;
-pub mod trace;
 
 mod error;
 

@@ -1,20 +1,19 @@
 //! Property-based tests for the PDN models.
 
-use pdn::analysis::{droop_stats, glitch_windows};
-use pdn::delay::DelayModel;
-use pdn::grid::{GridParams, NodeId, SpatialPdn};
-use pdn::rlc::{LumpedPdn, RlcParams};
+use pdn::analysis::glitch_windows;
+use pdn::delay::{factor, fault_threshold_voltage, V_NOM};
+use pdn::grid::{NodeId, SpatialPdn};
+use pdn::rlc::LumpedPdn;
 use pdn::thermal::ThermalModel;
-use pdn::trace::Trace;
 use proptest::prelude::*;
 
 proptest! {
-    /// The settled operating point is exactly Vdd − I·R for any load.
+    /// The settled operating point is exactly Vdd − I·R (1.0 V behind
+    /// 45 mΩ) for any load.
     #[test]
-    fn settle_is_ir_drop(i_load in 0.0f64..5.0, r in 0.005f64..0.2) {
-        let mut pdn = LumpedPdn::new(RlcParams { vdd: 1.0, r, l: 100e-12, c: 200e-9 }).unwrap();
-        let v = pdn.settle(i_load);
-        prop_assert!((v - (1.0 - i_load * r)).abs() < 1e-6);
+    fn settle_is_ir_drop(i_load in 0.0f64..5.0) {
+        let v = LumpedPdn::new().settle(i_load);
+        prop_assert!((v - (1.0 - i_load * 0.045)).abs() < 1e-6);
     }
 
     /// Deeper current steps always droop at least as deep (transient
@@ -22,7 +21,7 @@ proptest! {
     #[test]
     fn droop_monotone_in_step(base in 0.0f64..1.0, d1 in 0.5f64..4.0, extra in 0.5f64..4.0) {
         let run = |delta: f64| {
-            let mut pdn = LumpedPdn::zynq_like();
+            let mut pdn = LumpedPdn::new();
             pdn.settle(base);
             let mut worst = pdn.voltage();
             for _ in 0..20 {
@@ -37,18 +36,20 @@ proptest! {
     /// and the loaded node is the (weakly) deepest of any pair.
     #[test]
     fn mesh_local_droop_is_deepest_at_the_load(amps in 0.1f64..6.0, fx in 0.0f64..1.0, fy in 0.0f64..1.0) {
-        let mut g = SpatialPdn::new(LumpedPdn::zynq_like(), GridParams::default()).unwrap();
+        let mut g = SpatialPdn::new();
         let node = g.node_at_fraction(fx, fy);
         g.inject(node, amps).unwrap();
+        let mut v_die = 0.0;
         for _ in 0..200 {
-            g.step(1e-9);
+            v_die = g.step(1e-9);
         }
         let v_load = g.voltage_at(node).unwrap();
-        for x in 0..g.params().nx {
-            for y in 0..g.params().ny {
+        let corner = g.node_at_fraction(1.0, 1.0);
+        for x in 0..=corner.x {
+            for y in 0..=corner.y {
                 let v = g.voltage_at(NodeId { x, y }).unwrap();
                 prop_assert!(v_load <= v + 1e-9, "loaded node must be deepest");
-                prop_assert!(v <= g.lumped().voltage() + 1e-9);
+                prop_assert!(v <= v_die + 1e-9);
             }
         }
     }
@@ -57,12 +58,10 @@ proptest! {
     /// with the forward law for any feasible path/budget pair.
     #[test]
     fn delay_threshold_inverse(nominal in 500.0f64..9_000.0, slack_frac in 1.05f64..3.0) {
-        let m = DelayModel::default();
         let budget = nominal * slack_frac;
-        let v = m.fault_threshold_voltage(nominal, budget);
-        if v > m.v_th + 1e-6 && v < m.v_nom - 1e-6 {
-            prop_assert!((m.delay_ps(nominal, v) - budget).abs() < budget * 1e-6);
-        }
+        let v = fault_threshold_voltage(nominal, budget);
+        prop_assert!(v < V_NOM, "a feasible budget has a threshold below nominal: {v}");
+        prop_assert!((nominal * factor(v) - budget).abs() < budget * 1e-6);
     }
 
     /// Thermal equilibrium equals ambient + P·R exactly for any dt split.
@@ -79,8 +78,7 @@ proptest! {
     /// Glitch windows partition exactly the below-threshold samples.
     #[test]
     fn glitch_windows_cover_exactly(samples in prop::collection::vec(0.5f64..1.1, 1..300), thr in 0.7f64..1.0) {
-        let trace = Trace::from_samples(1e-9, samples.clone()).unwrap();
-        let windows = glitch_windows(&trace, thr);
+        let windows = glitch_windows(&samples, thr);
         let mut covered = vec![false; samples.len()];
         for w in &windows {
             prop_assert!(w.start < w.end);
@@ -92,16 +90,5 @@ proptest! {
         for (i, &s) in samples.iter().enumerate() {
             prop_assert_eq!(covered[i], s < thr, "sample {} miscovered", i);
         }
-    }
-
-    /// Droop stats: worst index really is the minimum sample.
-    #[test]
-    fn droop_stats_worst_is_min(samples in prop::collection::vec(0.5f64..1.1, 1..200)) {
-        let trace = Trace::from_samples(1e-9, samples.clone()).unwrap();
-        let stats = droop_stats(&trace, 1.0, 0.05).unwrap();
-        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        prop_assert!((stats.v_nom - stats.worst_droop - min).abs() < 1e-9
-            || stats.worst_droop == 0.0);
-        prop_assert!((samples[stats.worst_index] - min).abs() < 1e-12);
     }
 }

@@ -330,7 +330,7 @@ fn aborted_mid_transfer_upload_leaves_the_armed_scheme_untouched() {
 /// One sweep point of plausible per-item work for the supervisor tests:
 /// a short PDN droop transient, deterministic in the cell count.
 fn droop_point(&cells: &usize) -> (f64, f64) {
-    let mut pdn = pdn::rlc::LumpedPdn::zynq_like();
+    let mut pdn = pdn::rlc::LumpedPdn::new();
     pdn.settle(0.35);
     let mut v_min = pdn.voltage();
     for _ in 0..10 {
