@@ -20,8 +20,10 @@
 //! Every durable save emits [`trace::Event::CheckpointFsync`] so the
 //! golden-trace layer can audit checkpoint cadence.
 //!
-//! The [`wire`] module is the shared little-endian codec used by the
-//! payload serializers (campaign state, sweep-slice results).
+//! The [`wire`] module is the repository's one little-endian codec: the
+//! checkpoint payload serializers (campaign state, sweep-slice results),
+//! the UART's command/response messages and the attack-scheme file all
+//! encode through it, and [`crc32`] is its one checksum.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -87,17 +89,32 @@ pub struct Loaded {
 
 /// CRC-32 (IEEE 802.3, reflected) over `data` — the same polynomial zlib
 /// and PNG use, implemented locally because the workspace vendors no
-/// checksum crate.
+/// checksum crate. It is the repository's one checksum: checkpoint files,
+/// the campaign config fingerprint, and the UART's frame check and
+/// whole-scheme upload check all use it.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+    !data.iter().fold(!0u32, |crc, &byte| CRC32_TABLE[usize::from(crc as u8 ^ byte)] ^ (crc >> 8))
+}
+
+/// Byte-at-a-time table for [`crc32`]: entry `i` is the register after
+/// shifting the byte `i` through the eight bitwise steps of the
+/// reflected polynomial `0xEDB8_8320`.
+static CRC32_TABLE: [u32; 256] = crc32_table();
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
 }
 
 /// Durable checkpoint store: one named checkpoint slot in a directory,
@@ -294,6 +311,8 @@ fn read_validated(path: &Path) -> Result<(u64, Vec<u8>), ReadError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -308,6 +327,25 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn table_driven_crc32_equals_the_bitwise_definition() {
+        fn bitwise(data: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &byte in data {
+                crc ^= u32::from(byte);
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        let mut rng = StdRng::seed_from_u64(0xC4C3_2000);
+        for len in 0..=300 {
+            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            assert_eq!(crc32(&data), bitwise(&data), "length {len}");
+        }
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Little-endian wire codec shared by the checkpoint payload
 //! serializers (campaign state in `deepstrike::remote`, sweep-slice
-//! results in `bench::supervisor`).
+//! results in `bench::supervisor`) and the UART link (the
+//! `uart::proto` command/response messages and the
+//! `deepstrike::signal_ram::AttackScheme` file they upload).
 //!
 //! Writers are free functions appending to a `Vec<u8>`; the [`Reader`]
 //! returns `Option` from every take so a truncated or garbled payload
-//! decodes to `None` instead of panicking — the caller treats that as
-//! "no usable checkpoint" and starts fresh.
+//! decodes to `None` instead of panicking — a checkpoint caller treats
+//! that as "no usable checkpoint" and starts fresh, a UART caller as a
+//! malformed message. Decoders finish with [`Reader::is_empty`] so a
+//! payload with trailing bytes is rejected too.
 
 /// Appends a `u8`.
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
@@ -97,6 +101,14 @@ impl<'a> Reader<'a> {
         let len = self.take_u32()? as usize;
         self.take(len)
     }
+
+    /// Reads every remaining byte: the last field of a message whose end
+    /// is already delimited (a UART frame), so it needs no length prefix.
+    pub fn take_rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.pos..];
+        self.pos = self.bytes.len();
+        rest
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +125,7 @@ mod tests {
         put_f64(&mut buf, -0.0);
         put_f64(&mut buf, 1.5e-300);
         put_bytes(&mut buf, b"payload");
+        buf.extend_from_slice(b"tail");
         let mut r = Reader::new(&buf);
         assert_eq!(r.take_u8(), Some(0xAB));
         assert_eq!(r.take_bool(), Some(true));
@@ -121,7 +134,10 @@ mod tests {
         assert_eq!(r.take_f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
         assert_eq!(r.take_f64(), Some(1.5e-300));
         assert_eq!(r.take_bytes(), Some(&b"payload"[..]));
+        assert!(!r.is_empty());
+        assert_eq!(r.take_rest(), b"tail");
         assert!(r.is_empty());
+        assert_eq!(r.take_rest(), b"", "an exhausted reader has an empty rest");
     }
 
     #[test]

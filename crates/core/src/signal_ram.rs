@@ -8,6 +8,8 @@
 //! BRAM (one RAMB36 = 36,864 bits) and is played back at `f_sRAM`, one bit
 //! per clock, after the DNN start detector fires.
 
+use ckpt::wire::{self, Reader};
+
 use crate::error::{DeepStrikeError, Result};
 
 /// Bit capacity of one RAMB36.
@@ -51,13 +53,13 @@ impl AttackScheme {
         bits
     }
 
-    /// Serialises the scheme for the UART scheme upload.
+    /// Serialises the scheme for the UART scheme upload: the four fields
+    /// as little-endian `u32`s in declaration order, 16 bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(16);
-        v.extend_from_slice(&self.delay_cycles.to_le_bytes());
-        v.extend_from_slice(&self.strikes.to_le_bytes());
-        v.extend_from_slice(&self.strike_cycles.to_le_bytes());
-        v.extend_from_slice(&self.gap_cycles.to_le_bytes());
+        for field in [self.delay_cycles, self.strikes, self.strike_cycles, self.gap_cycles] {
+            wire::put_u32(&mut v, field);
+        }
         v
     }
 
@@ -67,19 +69,18 @@ impl AttackScheme {
     ///
     /// Returns [`DeepStrikeError::MalformedScheme`] unless exactly 16 bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() != 16 {
-            return Err(DeepStrikeError::MalformedScheme(format!(
+        let mut r = Reader::new(bytes);
+        match [(); 4].map(|()| r.take_u32()) {
+            [Some(delay_cycles), Some(strikes), Some(strike_cycles), Some(gap_cycles)]
+                if r.is_empty() =>
+            {
+                Ok(AttackScheme { delay_cycles, strikes, strike_cycles, gap_cycles })
+            }
+            _ => Err(DeepStrikeError::MalformedScheme(format!(
                 "expected 16 bytes, got {}",
                 bytes.len()
-            )));
+            ))),
         }
-        let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("len 4"));
-        Ok(AttackScheme {
-            delay_cycles: word(0),
-            strikes: word(4),
-            strike_cycles: word(8),
-            gap_cycles: word(12),
-        })
     }
 }
 

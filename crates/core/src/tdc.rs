@@ -140,11 +140,6 @@ impl TdcSensor {
         self.sample_clock.phase_deg
     }
 
-    /// Sampling interval in seconds (one capture per sampling-clock cycle).
-    pub fn sample_interval_s(&self) -> f64 {
-        1.0e-6 / self.sample_clock.freq_mhz
-    }
-
     /// Captures one reading at the given rail voltage.
     ///
     /// The number of carry stages the edge traverses in the phase window is
@@ -283,11 +278,5 @@ mod tests {
         assert_eq!(usage.carry4, 32, "128 taps = 32 CARRY4");
         assert_eq!(usage.flip_flops, 128, "one capture register per tap");
         assert!(usage.luts >= 4 + 43, "delay line + encoder LUTs");
-    }
-
-    #[test]
-    fn sample_interval_matches_200mhz() {
-        let tdc = sensor();
-        assert!((tdc.sample_interval_s() - 5e-9).abs() < 1e-10);
     }
 }

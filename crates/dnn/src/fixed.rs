@@ -3,12 +3,9 @@
 //! The paper deploys LeNet-5 with "fix-point 8-bit value, with 3-bits for
 //! the integer and the rest for the mantissa representation". [`QFormat`]
 //! expresses exactly that family of formats; [`Fixed8`] is one quantised
-//! value; [`Quantizer`] converts whole tensors. The accelerator crate does
-//! its MAC arithmetic on the raw integer codes, matching what a DSP48 does
-//! in hardware, so injected bit-faults corrupt codes exactly as they would
-//! on the FPGA.
-
-use crate::tensor::Tensor;
+//! value. The accelerator crate does its MAC arithmetic on the raw integer
+//! codes, matching what a DSP48 does in hardware, so injected bit-faults
+//! corrupt codes exactly as they would on the FPGA.
 
 /// An 8-bit fixed-point format: 1 optional sign bit, `int_bits` integer
 /// bits, and the remaining bits of mantissa (fraction).
@@ -128,55 +125,6 @@ impl Fixed8 {
     pub fn to_f32(&self) -> f32 {
         self.format.dequantize(self.code)
     }
-
-    /// Returns the value with one bit flipped — the atomic fault unit.
-    pub fn with_bit_flipped(&self, bit: u8) -> Fixed8 {
-        Fixed8 { code: self.code ^ (1 << (bit & 7)), format: self.format }
-    }
-}
-
-/// Tensor-level quantisation helper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Quantizer {
-    format: QFormat,
-}
-
-impl Quantizer {
-    /// Creates a quantiser for one format.
-    pub fn new(format: QFormat) -> Self {
-        Quantizer { format }
-    }
-
-    /// The format in use.
-    pub fn format(&self) -> QFormat {
-        self.format
-    }
-
-    /// Quantises a tensor to raw codes.
-    pub fn quantize_tensor(&self, t: &Tensor) -> Vec<u8> {
-        t.data().iter().map(|&v| self.format.quantize(v).code()).collect()
-    }
-
-    /// Reconstructs a tensor from raw codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codes.len()` does not match the shape volume.
-    pub fn dequantize_tensor(&self, codes: &[u8], shape: &[usize]) -> Tensor {
-        let data: Vec<f32> = codes.iter().map(|&c| self.format.dequantize(c)).collect();
-        Tensor::from_vec(data, shape)
-    }
-
-    /// Round-trips a tensor through quantisation (the "fake-quantised"
-    /// tensor used to evaluate deployment accuracy in f32 code paths).
-    pub fn fake_quantize(&self, t: &Tensor) -> Tensor {
-        t.map(|v| self.format.quantize(v).to_f32())
-    }
-
-    /// Worst-case absolute quantisation error for an in-range value.
-    pub fn max_error(&self) -> f32 {
-        self.format.resolution() / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -226,31 +174,6 @@ mod tests {
         let v = q.quantize(-1.0);
         assert_eq!(v.code(), (-32i8) as u8);
         assert_eq!(v.to_f32(), -1.0);
-    }
-
-    #[test]
-    fn bit_flip_changes_value() {
-        let q = QFormat::paper();
-        let v = q.quantize(1.0); // code 32 = 0b0010_0000
-        let flipped = v.with_bit_flipped(7);
-        assert!(flipped.to_f32() < 0.0, "sign-bit flip negates: {}", flipped.to_f32());
-        let lsb = v.with_bit_flipped(0);
-        assert!((lsb.to_f32() - (1.0 + q.resolution())).abs() < 1e-6);
-        // Double flip restores.
-        assert_eq!(v.with_bit_flipped(3).with_bit_flipped(3), v);
-    }
-
-    #[test]
-    fn tensor_quantisation_round_trip() {
-        let quant = Quantizer::new(QFormat::paper());
-        let t = Tensor::from_vec(vec![0.5, -0.25, 3.0, -3.99], &[2, 2]);
-        let codes = quant.quantize_tensor(&t);
-        let back = quant.dequantize_tensor(&codes, &[2, 2]);
-        for (a, b) in t.data().iter().zip(back.data()) {
-            assert!((a - b).abs() <= quant.max_error() + 1e-6, "{a} vs {b}");
-        }
-        let fake = quant.fake_quantize(&t);
-        assert_eq!(fake.data(), back.data());
     }
 
     #[test]

@@ -117,11 +117,6 @@ pub struct SweepOutcome<T> {
 }
 
 impl<T> SweepOutcome<T> {
-    /// True when no item was quarantined.
-    pub fn is_complete(&self) -> bool {
-        self.quarantine.is_empty()
-    }
-
     /// Number of items that completed.
     pub fn completed(&self) -> usize {
         self.results.len() - self.quarantine.len()
@@ -439,7 +434,6 @@ mod tests {
         });
         assert_eq!(outcome.results.len(), 40);
         assert_eq!(outcome.completed(), 38);
-        assert!(!outcome.is_complete());
         assert_eq!(
             outcome.quarantine,
             vec![

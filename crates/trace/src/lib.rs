@@ -498,11 +498,6 @@ impl TraceLog {
         out
     }
 
-    /// Events belonging to one pipeline stage, in order.
-    pub fn stage_events(&self, stage: Stage) -> Vec<&Event> {
-        self.events.iter().filter(|e| e.stage() == stage).collect()
-    }
-
     /// Count of events matching a predicate.
     pub fn count(&self, pred: impl Fn(&Event) -> bool) -> usize {
         self.events.iter().filter(|e| pred(e)).count()
@@ -725,7 +720,7 @@ mod tests {
             ],
             dropped: 0,
         };
-        assert_eq!(log.stage_events(Stage::Tdc).len(), 2);
+        assert_eq!(log.count(|e| e.stage() == Stage::Tdc), 2);
         assert_eq!(log.count(|e| matches!(e, Event::DetectorLatch { .. })), 1);
     }
 }

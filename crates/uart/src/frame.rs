@@ -1,26 +1,18 @@
-//! COBS framing with CRC-16 integrity.
+//! COBS framing with CRC-32 integrity.
 //!
-//! Frames on the wire are `COBS(payload ‖ CRC16(payload)) ‖ 0x00`. COBS
+//! Frames on the wire are `COBS(payload ‖ CRC32(payload)) ‖ 0x00`, the
+//! check being [`ckpt::crc32`] in little-endian byte order. COBS
 //! (consistent-overhead byte stuffing) guarantees the encoded body contains
 //! no zero bytes, so a single `0x00` unambiguously delimits frames and the
 //! decoder resynchronises after arbitrary corruption by skipping to the
-//! next delimiter.
+//! next delimiter. The 32-bit check detects every error burst of 32 bits
+//! or fewer, and a verified frame delimits its message exactly, so the
+//! messages inside carry no length of their own.
 
-/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
-pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in data {
-        crc ^= u16::from(byte) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc
-}
+use ckpt::crc32;
+
+/// Bytes of the frame check appended to every payload.
+const CHECK_LEN: usize = 4;
 
 /// COBS-encodes `data` (no trailing delimiter).
 fn cobs_encode(data: &[u8]) -> Vec<u8> {
@@ -77,7 +69,7 @@ fn cobs_decode(data: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Encodes one payload into its on-wire representation
-/// (`COBS(payload ‖ crc) ‖ 0x00`).
+/// (`COBS(payload ‖ crc32) ‖ 0x00`).
 ///
 /// # Example
 ///
@@ -91,8 +83,9 @@ fn cobs_decode(data: &[u8]) -> Option<Vec<u8>> {
 /// assert_eq!(dec.push_bytes(&wire), vec![vec![1, 2, 0, 3]]);
 /// ```
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut body = payload.to_vec();
-    body.extend_from_slice(&crc16(payload).to_be_bytes());
+    let mut body = Vec::with_capacity(payload.len() + CHECK_LEN);
+    body.extend_from_slice(payload);
+    body.extend_from_slice(&crc32(payload).to_le_bytes());
     let mut out = cobs_encode(&body);
     out.push(0);
     out
@@ -131,15 +124,10 @@ impl FrameDecoder {
                 continue; // idle delimiter
             }
             let block = std::mem::take(&mut self.buf);
-            match cobs_decode(&block) {
-                Some(body) if body.len() >= 2 => {
-                    let (payload, crc_bytes) = body.split_at(body.len() - 2);
-                    let expect = u16::from_be_bytes([crc_bytes[0], crc_bytes[1]]);
-                    if crc16(payload) == expect {
-                        frames.push(payload.to_vec());
-                    } else {
-                        self.corrupt_frames += 1;
-                    }
+            let body = cobs_decode(&block);
+            match body.as_deref().and_then(<[u8]>::split_last_chunk::<CHECK_LEN>) {
+                Some((payload, check)) if crc32(payload) == u32::from_le_bytes(*check) => {
+                    frames.push(payload.to_vec());
                 }
                 _ => self.corrupt_frames += 1,
             }
@@ -152,13 +140,6 @@ impl FrameDecoder {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc16_known_vector() {
-        // CRC-16/CCITT-FALSE("123456789") = 0x29B1.
-        assert_eq!(crc16(b"123456789"), 0x29B1);
-        assert_eq!(crc16(b""), 0xFFFF);
-    }
 
     #[test]
     fn cobs_round_trip_including_zeros() {

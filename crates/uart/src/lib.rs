@@ -7,9 +7,11 @@
 //! that channel:
 //!
 //! * [`frame`] — byte-stream framing (COBS encoding, zero delimiters) with
-//!   a CRC-16 integrity check, resilient to mid-stream corruption;
-//! * [`proto`] — the command/response protocol: stream TDC traces out,
-//!   upload scheme files in, arm/disarm, query status;
+//!   a CRC-32 integrity check ([`ckpt::crc32`]), resilient to mid-stream
+//!   corruption;
+//! * [`proto`] — the command/response protocol, encoded with
+//!   [`ckpt::wire`]: stream TDC traces out, upload scheme files in,
+//!   arm/disarm, query status;
 //! * [`link`] — an in-memory full-duplex byte link standing in for the
 //!   physical UART (with fault injection for tests);
 //! * [`transport`] — the one protocol stack over that link: the

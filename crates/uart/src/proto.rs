@@ -6,6 +6,14 @@
 //! file in the signal RAM (through the chunked `Upload*` commands).
 //! `Arm`/`Status` round out the operational loop (the scheme does nothing
 //! until the DNN-start detector is armed).
+//!
+//! Every message is a tag byte followed by its fields in the
+//! little-endian [`ckpt::wire`] encoding. A message fills its verified
+//! frame exactly: a trailing byte string (`Trace` samples, `UploadChunk`
+//! data) runs to the frame's end with no length prefix, and a decoder
+//! rejects any message that is short or has bytes left over.
+
+use ckpt::wire::{self, Reader};
 
 use crate::error::UartError;
 
@@ -26,12 +34,12 @@ pub enum Command {
     /// Query scheduler status.
     Status,
     /// Open a chunked scheme upload: declares the total length and the
-    /// CRC-16 the assembled bytes must match at commit.
+    /// CRC-32 the assembled bytes must match at commit.
     UploadBegin {
         /// Total scheme length in bytes.
         total_len: u32,
-        /// CRC-16/CCITT-FALSE of the whole scheme.
-        crc: u16,
+        /// [`ckpt::crc32`] of the whole scheme.
+        crc: u32,
     },
     /// One in-order slice of an open upload (`offset` = bytes already
     /// staged; slices at or before the staging watermark are idempotent).
@@ -101,178 +109,130 @@ const TAG_R_ERROR: u8 = 0xFF;
 impl Command {
     /// Serialises the command to a frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut v = Vec::new();
         match self {
             Command::ReadTrace { max_samples } => {
-                let mut v = vec![TAG_READ_TRACE];
-                v.extend_from_slice(&max_samples.to_le_bytes());
-                v
+                wire::put_u8(&mut v, TAG_READ_TRACE);
+                wire::put_u32(&mut v, *max_samples);
             }
-            Command::Arm { enabled } => vec![TAG_ARM, u8::from(*enabled)],
-            Command::Status => vec![TAG_STATUS],
+            Command::Arm { enabled } => {
+                wire::put_u8(&mut v, TAG_ARM);
+                wire::put_bool(&mut v, *enabled);
+            }
+            Command::Status => wire::put_u8(&mut v, TAG_STATUS),
             Command::UploadBegin { total_len, crc } => {
-                let mut v = vec![TAG_UPLOAD_BEGIN];
-                v.extend_from_slice(&total_len.to_le_bytes());
-                v.extend_from_slice(&crc.to_le_bytes());
-                v
+                wire::put_u8(&mut v, TAG_UPLOAD_BEGIN);
+                wire::put_u32(&mut v, *total_len);
+                wire::put_u32(&mut v, *crc);
             }
             Command::UploadChunk { offset, data } => {
-                let mut v = vec![TAG_UPLOAD_CHUNK];
-                v.extend_from_slice(&offset.to_le_bytes());
-                v.extend_from_slice(&(data.len() as u32).to_le_bytes());
+                wire::put_u8(&mut v, TAG_UPLOAD_CHUNK);
+                wire::put_u32(&mut v, *offset);
                 v.extend_from_slice(data);
-                v
             }
-            Command::UploadCommit => vec![TAG_UPLOAD_COMMIT],
-            Command::UploadStatus => vec![TAG_UPLOAD_STATUS],
+            Command::UploadCommit => wire::put_u8(&mut v, TAG_UPLOAD_COMMIT),
+            Command::UploadStatus => wire::put_u8(&mut v, TAG_UPLOAD_STATUS),
         }
+        v
     }
 
     /// Parses a command from a frame payload.
     ///
     /// # Errors
     ///
-    /// Returns [`UartError::MalformedMessage`] on bad tags or truncation.
+    /// Returns [`UartError::MalformedMessage`] on an unknown tag, or on a
+    /// body that is short or has bytes left over.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, UartError> {
-        let (&tag, rest) = bytes
-            .split_first()
-            .ok_or_else(|| UartError::MalformedMessage("empty command".into()))?;
-        match tag {
-            TAG_READ_TRACE => {
-                let arr: [u8; 4] = rest
-                    .try_into()
-                    .map_err(|_| UartError::MalformedMessage("read_trace length".into()))?;
-                Ok(Command::ReadTrace { max_samples: u32::from_le_bytes(arr) })
-            }
-            TAG_ARM => match rest {
-                [flag] => Ok(Command::Arm { enabled: *flag != 0 }),
-                _ => Err(UartError::MalformedMessage("arm flag".into())),
-            },
-            TAG_STATUS => {
-                if rest.is_empty() {
-                    Ok(Command::Status)
-                } else {
-                    Err(UartError::MalformedMessage("status takes no payload".into()))
+        decode(bytes, "command", |tag, r| {
+            Some(match tag {
+                TAG_READ_TRACE => Command::ReadTrace { max_samples: r.take_u32()? },
+                TAG_ARM => Command::Arm { enabled: r.take_bool()? },
+                TAG_STATUS => Command::Status,
+                TAG_UPLOAD_BEGIN => {
+                    Command::UploadBegin { total_len: r.take_u32()?, crc: r.take_u32()? }
                 }
-            }
-            TAG_UPLOAD_BEGIN => {
-                if rest.len() != 6 {
-                    return Err(UartError::MalformedMessage("upload_begin length".into()));
+                TAG_UPLOAD_CHUNK => {
+                    Command::UploadChunk { offset: r.take_u32()?, data: r.take_rest().to_vec() }
                 }
-                Ok(Command::UploadBegin {
-                    total_len: u32::from_le_bytes(rest[..4].try_into().expect("len 4")),
-                    crc: u16::from_le_bytes(rest[4..6].try_into().expect("len 2")),
-                })
-            }
-            TAG_UPLOAD_CHUNK => {
-                if rest.len() < 8 {
-                    return Err(UartError::MalformedMessage("upload_chunk header".into()));
-                }
-                let offset = u32::from_le_bytes(rest[..4].try_into().expect("len 4"));
-                let len = u32::from_le_bytes(rest[4..8].try_into().expect("len 4")) as usize;
-                if rest.len() != 8 + len {
-                    return Err(UartError::MalformedMessage("upload_chunk body length".into()));
-                }
-                Ok(Command::UploadChunk { offset, data: rest[8..].to_vec() })
-            }
-            TAG_UPLOAD_COMMIT => {
-                if rest.is_empty() {
-                    Ok(Command::UploadCommit)
-                } else {
-                    Err(UartError::MalformedMessage("upload_commit takes no payload".into()))
-                }
-            }
-            TAG_UPLOAD_STATUS => {
-                if rest.is_empty() {
-                    Ok(Command::UploadStatus)
-                } else {
-                    Err(UartError::MalformedMessage("upload_status takes no payload".into()))
-                }
-            }
-            other => Err(UartError::MalformedMessage(format!("unknown command tag {other:#x}"))),
-        }
+                TAG_UPLOAD_COMMIT => Command::UploadCommit,
+                TAG_UPLOAD_STATUS => Command::UploadStatus,
+                _ => return None,
+            })
+        })
     }
 }
 
 impl Response {
     /// Serialises the response to a frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut v = Vec::new();
         match self {
             Response::Trace(samples) => {
-                let mut v = vec![TAG_R_TRACE];
-                v.extend_from_slice(&(samples.len() as u32).to_le_bytes());
+                wire::put_u8(&mut v, TAG_R_TRACE);
                 v.extend_from_slice(samples);
-                v
             }
-            Response::Ack => vec![TAG_R_ACK],
+            Response::Ack => wire::put_u8(&mut v, TAG_R_ACK),
             Response::Status(s) => {
-                let mut v = vec![TAG_R_STATUS, u8::from(s.armed), u8::from(s.triggered)];
-                v.extend_from_slice(&s.strikes_fired.to_le_bytes());
-                v.extend_from_slice(&s.scheme_bits.to_le_bytes());
-                v
+                wire::put_u8(&mut v, TAG_R_STATUS);
+                wire::put_bool(&mut v, s.armed);
+                wire::put_bool(&mut v, s.triggered);
+                wire::put_u32(&mut v, s.strikes_fired);
+                wire::put_u32(&mut v, s.scheme_bits);
             }
             Response::Upload { received, total } => {
-                let mut v = vec![TAG_R_UPLOAD];
-                v.extend_from_slice(&received.to_le_bytes());
-                v.extend_from_slice(&total.to_le_bytes());
-                v
+                wire::put_u8(&mut v, TAG_R_UPLOAD);
+                wire::put_u32(&mut v, *received);
+                wire::put_u32(&mut v, *total);
             }
-            Response::Error(code) => vec![TAG_R_ERROR, *code],
+            Response::Error(code) => {
+                wire::put_u8(&mut v, TAG_R_ERROR);
+                wire::put_u8(&mut v, *code);
+            }
         }
+        v
     }
 
     /// Parses a response from a frame payload.
     ///
     /// # Errors
     ///
-    /// Returns [`UartError::MalformedMessage`] on bad tags or truncation.
+    /// Returns [`UartError::MalformedMessage`] on an unknown tag, or on a
+    /// body that is short or has bytes left over.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, UartError> {
-        let (&tag, rest) = bytes
-            .split_first()
-            .ok_or_else(|| UartError::MalformedMessage("empty response".into()))?;
-        match tag {
-            TAG_R_TRACE => {
-                if rest.len() < 4 {
-                    return Err(UartError::MalformedMessage("trace header".into()));
-                }
-                let len = u32::from_le_bytes(rest[..4].try_into().expect("len 4")) as usize;
-                if rest.len() != 4 + len {
-                    return Err(UartError::MalformedMessage("trace body length".into()));
-                }
-                Ok(Response::Trace(rest[4..].to_vec()))
-            }
-            TAG_R_ACK => {
-                if rest.is_empty() {
-                    Ok(Response::Ack)
-                } else {
-                    Err(UartError::MalformedMessage("ack takes no payload".into()))
-                }
-            }
-            TAG_R_STATUS => {
-                if rest.len() != 10 {
-                    return Err(UartError::MalformedMessage("status length".into()));
-                }
-                Ok(Response::Status(StatusInfo {
-                    armed: rest[0] != 0,
-                    triggered: rest[1] != 0,
-                    strikes_fired: u32::from_le_bytes(rest[2..6].try_into().expect("len 4")),
-                    scheme_bits: u32::from_le_bytes(rest[6..10].try_into().expect("len 4")),
-                }))
-            }
-            TAG_R_UPLOAD => {
-                if rest.len() != 8 {
-                    return Err(UartError::MalformedMessage("upload status length".into()));
-                }
-                Ok(Response::Upload {
-                    received: u32::from_le_bytes(rest[..4].try_into().expect("len 4")),
-                    total: u32::from_le_bytes(rest[4..8].try_into().expect("len 4")),
-                })
-            }
-            TAG_R_ERROR => match rest {
-                [code] => Ok(Response::Error(*code)),
-                _ => Err(UartError::MalformedMessage("error code".into())),
-            },
-            other => Err(UartError::MalformedMessage(format!("unknown response tag {other:#x}"))),
-        }
+        decode(bytes, "response", |tag, r| {
+            Some(match tag {
+                TAG_R_TRACE => Response::Trace(r.take_rest().to_vec()),
+                TAG_R_ACK => Response::Ack,
+                TAG_R_STATUS => Response::Status(StatusInfo {
+                    armed: r.take_bool()?,
+                    triggered: r.take_bool()?,
+                    strikes_fired: r.take_u32()?,
+                    scheme_bits: r.take_u32()?,
+                }),
+                TAG_R_UPLOAD => Response::Upload { received: r.take_u32()?, total: r.take_u32()? },
+                TAG_R_ERROR => Response::Error(r.take_u8()?),
+                _ => return None,
+            })
+        })
+    }
+}
+
+/// Decodes one `[tag] ‖ fields` message: `fields` answers `None` for an
+/// unknown tag or a short body, and the fields must end exactly where the
+/// message does.
+fn decode<T>(
+    bytes: &[u8],
+    what: &str,
+    fields: impl FnOnce(u8, &mut Reader<'_>) -> Option<T>,
+) -> Result<T, UartError> {
+    let mut r = Reader::new(bytes);
+    let tag = r.take_u8().ok_or_else(|| UartError::MalformedMessage(format!("empty {what}")))?;
+    match fields(tag, &mut r) {
+        Some(message) if r.is_empty() => Ok(message),
+        _ => Err(UartError::MalformedMessage(format!(
+            "{what} tag {tag:#x} with a {}-byte body",
+            bytes.len() - 1
+        ))),
     }
 }
 
@@ -288,7 +248,7 @@ mod tests {
             Command::Arm { enabled: true },
             Command::Arm { enabled: false },
             Command::Status,
-            Command::UploadBegin { total_len: 48, crc: 0xBEEF },
+            Command::UploadBegin { total_len: 48, crc: 0xDEAD_BEEF },
             Command::UploadChunk { offset: 16, data: vec![9, 8, 7] },
             Command::UploadChunk { offset: 0, data: vec![] },
             Command::UploadCommit,
@@ -329,10 +289,10 @@ mod tests {
         assert!(Command::from_bytes(&[0x01, 1, 2]).is_err(), "short read_trace");
         assert!(Command::from_bytes(&[0x02, 1, 0, 0, 0, 1]).is_err(), "retired tag 0x02");
         assert!(Response::from_bytes(&[]).is_err());
-        assert!(Response::from_bytes(&[0x81, 5, 0, 0, 0]).is_err(), "short trace");
         assert!(Response::from_bytes(&[0x84, 1]).is_err(), "short status");
         assert!(Command::from_bytes(&[0x05, 1, 2]).is_err(), "short upload_begin");
-        assert!(Command::from_bytes(&[0x06, 0, 0, 0, 0, 9, 0, 0, 0, 1]).is_err(), "short chunk");
+        assert!(Command::from_bytes(&[0x05, 1, 0, 0, 0, 2, 0]).is_err(), "u16 upload_begin crc");
+        assert!(Command::from_bytes(&[0x06, 0, 0, 0]).is_err(), "short chunk offset");
         assert!(Command::from_bytes(&[0x07, 1]).is_err(), "commit takes no payload");
         assert!(Response::from_bytes(&[0x85, 1, 0, 0]).is_err(), "short upload state");
     }
@@ -341,5 +301,23 @@ mod tests {
     fn extra_payload_is_rejected() {
         assert!(Command::from_bytes(&[0x04, 9]).is_err());
         assert!(Response::from_bytes(&[0x82, 1]).is_err());
+        assert!(Command::from_bytes(&[0x03, 1, 0]).is_err(), "long arm");
+        assert!(Command::from_bytes(&[0x05, 1, 0, 0, 0, 2, 0, 0, 0, 3]).is_err(), "long begin");
+        assert!(Response::from_bytes(&[0xFF, 7, 0]).is_err(), "long error");
+    }
+
+    #[test]
+    fn unprefixed_byte_strings_run_to_the_frame_end() {
+        // Trace samples and chunk data carry no length: every byte after
+        // the fixed fields belongs to them.
+        assert_eq!(Response::Trace(vec![5, 0, 7]).to_bytes(), [0x81, 5, 0, 7]);
+        assert_eq!(
+            Response::from_bytes(&[0x81, 5, 0, 0, 0]).unwrap(),
+            Response::Trace(vec![5, 0, 0, 0])
+        );
+        assert_eq!(
+            Command::from_bytes(&[0x06, 2, 0, 0, 0, 9, 1]).unwrap(),
+            Command::UploadChunk { offset: 2, data: vec![9, 1] }
+        );
     }
 }

@@ -7,7 +7,10 @@
 //! remotely guided loop survive a degraded link:
 //!
 //! * every request carries a **sequence number**; the response echoes it,
-//!   so stale answers to retransmitted requests are discarded;
+//!   so stale answers to retransmitted requests are discarded. A packet
+//!   is `[seq u16 LE] ‖ message` and needs no kind byte: each direction
+//!   of the duplex link carries one kind, requests to the shell and
+//!   responses back;
 //! * a lost exchange is **retransmitted** with capped exponential backoff
 //!   (the per-attempt pump budget doubles up to [`TransportConfig::
 //!   backoff_cap`]), and gives up with [`UartError::LinkDown`] once
@@ -17,10 +20,12 @@
 //!   re-executing the command, making side-effectful commands (draining
 //!   trace reads, upload chunks) exactly-once. Depth 1 suffices because
 //!   the client is stop-and-wait and the link preserves byte order, so
-//!   every copy of request *n* arrives before request *n + 1*;
+//!   every copy of request *n* arrives before request *n + 1*. The cache
+//!   is keyed on the whole request packet, so only an exact duplicate is
+//!   replayed;
 //! * scheme uploads are **chunked and resumable**: `UploadBegin` declares
-//!   length and CRC, in-order `UploadChunk`s fill a staging buffer,
-//!   `UploadStatus` reports the watermark so a reconnecting client
+//!   length and [`ckpt::crc32`], in-order `UploadChunk`s fill a staging
+//!   buffer, `UploadStatus` reports the watermark so a reconnecting client
 //!   resumes mid-transfer, and only a CRC-verified `UploadCommit`
 //!   atomically installs the scheme — an aborted transfer leaves the
 //!   armed state untouched.
@@ -30,15 +35,12 @@
 //! suite conformance-checks the degradation behaviour like any other
 //! pipeline stage.
 
+use ckpt::crc32;
+
 use crate::error::{Result, UartError};
-use crate::frame::{crc16, encode_frame, FrameDecoder};
+use crate::frame::{encode_frame, FrameDecoder};
 use crate::link::Endpoint;
 use crate::proto::{Command, Response, StatusInfo};
-
-/// Request packet kind byte.
-const KIND_REQUEST: u8 = 0x00;
-/// Response packet kind byte.
-const KIND_RESPONSE: u8 = 0x01;
 
 /// Application error: upload chunk/commit without an open upload.
 pub const ERR_NO_UPLOAD: u8 = 0x10;
@@ -102,22 +104,19 @@ impl Default for TransportConfig {
     }
 }
 
-/// Wraps a protocol payload in a transport packet: `[seq_lo, seq_hi,
-/// kind, inner…]`.
-fn wrap(seq: u16, kind: u8, inner: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(3 + inner.len());
+/// Wraps a protocol message in a transport packet: `[seq u16 LE] ‖
+/// message`.
+fn wrap(seq: u16, message: &[u8]) -> Vec<u8> {
+    let mut v = Vec::with_capacity(2 + message.len());
     v.extend_from_slice(&seq.to_le_bytes());
-    v.push(kind);
-    v.extend_from_slice(inner);
+    v.extend_from_slice(message);
     v
 }
 
-/// Splits a transport packet into `(seq, kind, inner)`.
-fn unwrap(payload: &[u8]) -> Option<(u16, u8, &[u8])> {
-    if payload.len() < 3 {
-        return None;
-    }
-    Some((u16::from_le_bytes([payload[0], payload[1]]), payload[2], &payload[3..]))
+/// Splits a transport packet into `(seq, message)`.
+fn unwrap(packet: &[u8]) -> Option<(u16, &[u8])> {
+    let (seq, message) = packet.split_first_chunk::<2>()?;
+    Some((u16::from_le_bytes(*seq), message))
 }
 
 /// Cumulative transport counters (client side).
@@ -191,7 +190,7 @@ impl TransportClient {
     pub fn transact(&mut self, command: &Command, mut pump: impl FnMut()) -> Result<Response> {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let wire = encode_frame(&wrap(seq, KIND_REQUEST, &command.to_bytes()));
+        let wire = encode_frame(&wrap(seq, &command.to_bytes()));
         let mut budget = self.config.pump_budget.max(1);
         let attempts = self.config.max_retries + 1;
         for attempt in 0..attempts {
@@ -205,8 +204,8 @@ impl TransportClient {
                 self.endpoint.advance(1);
                 let bytes = self.endpoint.recv_all();
                 for frame in self.decoder.push_bytes(&bytes) {
-                    let Some((rseq, kind, inner)) = unwrap(&frame) else { continue };
-                    if kind != KIND_RESPONSE || rseq != seq {
+                    let Some((rseq, inner)) = unwrap(&frame) else { continue };
+                    if rseq != seq {
                         continue; // stale answer to an earlier retransmission
                     }
                     self.stats.exchanges += 1;
@@ -237,7 +236,7 @@ impl TransportClient {
     /// the shell's code if the scheme itself is rejected.
     pub fn upload_scheme(&mut self, data: &[u8], mut pump: impl FnMut()) -> Result<()> {
         let total = data.len() as u32;
-        let crc = crc16(data);
+        let crc = crc32(data);
         for fresh_start in [false, true] {
             let staged = if fresh_start {
                 0
@@ -296,7 +295,7 @@ impl TransportClient {
 #[derive(Debug)]
 struct Staging {
     total: u32,
-    crc: u16,
+    crc: u32,
     buf: Vec<u8>,
 }
 
@@ -307,12 +306,13 @@ pub struct TransportShell {
     endpoint: Endpoint,
     decoder: FrameDecoder,
     staging: Option<Staging>,
-    /// `(seq, request CRC, encoded response frame)` of the most recent
-    /// execution. The request CRC disambiguates a retransmitted duplicate
-    /// from a *different* request that lands on the same 16-bit sequence
-    /// number after counter wraparound — replaying a cached response to
-    /// the latter would silently answer the wrong command.
-    last: Option<(u16, u16, Vec<u8>)>,
+    /// `(request packet, encoded response frame)` of the most recent
+    /// execution. Keying on the whole packet, not the 16-bit sequence
+    /// number alone, tells a retransmitted duplicate from a *different*
+    /// request that lands on the same sequence number after counter
+    /// wraparound — replaying a cached response to the latter would
+    /// silently answer the wrong command.
+    last: Option<(Vec<u8>, Vec<u8>)>,
     replayed: u64,
 }
 
@@ -350,25 +350,20 @@ impl TransportShell {
         let frames = self.decoder.push_bytes(&bytes);
         let mut handled = 0usize;
         for frame in frames {
-            let Some((seq, kind, inner)) = unwrap(&frame) else { continue };
-            if kind != KIND_REQUEST {
-                continue;
-            }
-            let req_crc = crc16(inner);
-            if let Some((last_seq, last_crc, cached)) = &self.last {
-                if *last_seq == seq && *last_crc == req_crc {
+            let Some((seq, inner)) = unwrap(&frame) else { continue };
+            if let Some((request, cached)) = &self.last {
+                if *request == frame {
                     // The response was lost in transit: replay it without
                     // re-executing the (side-effectful) command.
-                    let cached = cached.clone();
-                    self.endpoint.send(&cached);
+                    self.endpoint.send(cached);
                     self.replayed += 1;
                     continue;
                 }
             }
             let response = self.dispatch(inner, handler);
-            let wire = encode_frame(&wrap(seq, KIND_RESPONSE, &response.to_bytes()));
+            let wire = encode_frame(&wrap(seq, &response.to_bytes()));
             self.endpoint.send(&wire);
-            self.last = Some((seq, req_crc, wire));
+            self.last = Some((frame, wire));
             handled += 1;
         }
         handled
@@ -414,7 +409,7 @@ impl TransportShell {
             Ok(Command::UploadCommit) => match self.staging.take() {
                 None => Response::Error(ERR_NO_UPLOAD),
                 Some(st) => {
-                    if st.buf.len() as u32 != st.total || crc16(&st.buf) != st.crc {
+                    if st.buf.len() as u32 != st.total || crc32(&st.buf) != st.crc {
                         Response::Error(ERR_UPLOAD_CRC)
                     } else {
                         match handler.load_scheme(&st.buf) {
@@ -503,13 +498,13 @@ mod tests {
         let (mut client, mut shell, mut fpga) = clean_rig();
         // A verified frame whose payload is not a valid command.
         let seq = 0x1234;
-        client.endpoint_mut().send(&encode_frame(&wrap(seq, KIND_REQUEST, &[0x77, 1, 2, 3])));
+        client.endpoint_mut().send(&encode_frame(&wrap(seq, &[0x77, 1, 2, 3])));
         assert_eq!(shell.poll(&mut fpga), 1);
         let bytes = client.endpoint_mut().recv_all();
         let frames = client.decoder.push_bytes(&bytes);
         let [frame] = frames.as_slice() else { panic!("expected one response, got {frames:?}") };
-        let (rseq, kind, inner) = unwrap(frame).unwrap();
-        assert_eq!((rseq, kind), (seq, KIND_RESPONSE), "the request's seq is echoed");
+        let (rseq, inner) = unwrap(frame).unwrap();
+        assert_eq!(rseq, seq, "the request's seq is echoed");
         assert_eq!(Response::from_bytes(inner).unwrap(), Response::Error(ERR_PROTOCOL));
     }
 
@@ -644,7 +639,7 @@ mod tests {
 
         // Manually begin + send one chunk of a new payload, then abort.
         let new: Vec<u8> = (100..140u8).collect();
-        let crc = crc16(&new);
+        let crc = crc32(&new);
         client
             .transact(&Command::UploadBegin { total_len: 40, crc }, || {
                 shell.poll(&mut fpga);
@@ -673,7 +668,7 @@ mod tests {
         let (mut client, mut shell, mut fpga) = clean_rig();
         let data: Vec<u8> = (0..24u8).collect();
         client
-            .transact(&Command::UploadBegin { total_len: 24, crc: crc16(&data) }, || {
+            .transact(&Command::UploadBegin { total_len: 24, crc: crc32(&data) }, || {
                 shell.poll(&mut fpga);
             })
             .unwrap();
@@ -714,7 +709,7 @@ mod tests {
         let declared: Vec<u8> = vec![1; 8];
         let staged: Vec<u8> = vec![2; 8];
         client
-            .transact(&Command::UploadBegin { total_len: 8, crc: crc16(&declared) }, || {
+            .transact(&Command::UploadBegin { total_len: 8, crc: crc32(&declared) }, || {
                 shell.poll(&mut fpga);
             })
             .unwrap();

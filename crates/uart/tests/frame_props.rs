@@ -1,4 +1,4 @@
-//! Property fuzz of the COBS+CRC frame codec: arbitrary corruption,
+//! Property fuzz of the COBS+CRC-32 frame codec: arbitrary corruption,
 //! truncation and concatenation must never panic the decoder and must
 //! never make it accept a payload nobody sent.
 //!
@@ -75,9 +75,10 @@ proptest! {
         prop_assert_eq!(streaming.corrupt_frames(), one_shot.corrupt_frames());
     }
 
-    /// A corruption burst of up to two adjacent bytes is either detected
+    /// A corruption burst of up to four adjacent bytes is either detected
     /// (frame dropped, counter bumped) or harmless to the *other* frames:
     /// the decoder never emits a payload that differs from every input.
+    /// CRC-32 detects every burst of 32 bits or fewer.
     #[test]
     fn burst_corruption_never_forges(
         before in prop::collection::vec(any::<u8>(), 0..32),
@@ -86,6 +87,8 @@ proptest! {
         pos in 0usize..256,
         mask_a in 1u8..=255,
         mask_b in 0u8..=255,
+        mask_c in 0u8..=255,
+        mask_d in 0u8..=255,
     ) {
         let mut wire = encode_frame(&before);
         let start = wire.len();
@@ -96,8 +99,8 @@ proptest! {
         // merges two frames, which the CRC must then reject).
         let idx = start + pos % (end - start);
         wire[idx] ^= mask_a;
-        if idx + 1 < wire.len() {
-            wire[idx + 1] ^= mask_b;
+        for (byte, mask) in wire[idx + 1..].iter_mut().zip([mask_b, mask_c, mask_d]) {
+            *byte ^= mask;
         }
         let mut dec = FrameDecoder::new();
         let got = dec.push_bytes(&wire);
@@ -114,11 +117,40 @@ proptest! {
     }
 }
 
+/// The CRC-16/CCITT generator `0x11021`, written MSB-first over three
+/// bytes: a 17-bit burst. Added to a payload at any byte offset it leaves
+/// a CRC-16/CCITT check unchanged, which is how the old frame check came
+/// to accept damaged frames on lossy links.
+const CCITT_GENERATOR_BURST: [u8; 3] = [0x01, 0x10, 0x21];
+
+/// Deterministic regression for the frame check: a generator-shaped burst
+/// inside the payload must be caught at every offset. The payload bytes
+/// all have the top bit set, so the burst keeps them non-zero and the
+/// COBS structure around them is untouched: only the check can notice.
+#[test]
+fn generator_shaped_burst_is_rejected_at_every_offset() {
+    let payload: Vec<u8> = (0..20u8).map(|i| 0x80 | i.wrapping_mul(37)).collect();
+    let wire = encode_frame(&payload);
+    // No zero precedes the payload, so it sits verbatim after the first
+    // COBS code byte.
+    assert_eq!(&wire[1..=payload.len()], &payload[..]);
+    for offset in 0..=payload.len() - CCITT_GENERATOR_BURST.len() {
+        let mut damaged = wire.clone();
+        for (k, mask) in CCITT_GENERATOR_BURST.iter().enumerate() {
+            damaged[1 + offset + k] ^= mask;
+        }
+        let mut dec = FrameDecoder::new();
+        let got = dec.push_bytes(&damaged);
+        assert!(got.is_empty(), "offset {offset}: damaged frame accepted as {got:?}");
+        assert_eq!(dec.corrupt_frames(), 1, "offset {offset}: the frame must count as corrupt");
+    }
+}
+
 /// Deterministic regression for the transport shell's replay cache, which
 /// used to key on the 16-bit sequence number alone: once the counter
 /// wrapped, a *different* request landing on the cached seq was answered
 /// with the previous command's stale response instead of being executed.
-/// The cache now keys on `(seq, request CRC)`.
+/// The cache now keys on the whole request packet, an exact match.
 mod replay_cache_wraparound {
     use uart::frame::{encode_frame, FrameDecoder};
     use uart::link::Endpoint;
@@ -149,10 +181,9 @@ mod replay_cache_wraparound {
         }
     }
 
-    /// Raw transport request packet: `[seq_lo, seq_hi, kind = 0, inner…]`.
+    /// Raw transport request packet: `[seq u16 LE] ‖ message`.
     fn request(seq: u16, command: &Command) -> Vec<u8> {
         let mut packet = seq.to_le_bytes().to_vec();
-        packet.push(0x00);
         packet.extend(command.to_bytes());
         encode_frame(&packet)
     }
@@ -171,7 +202,7 @@ mod replay_cache_wraparound {
         decoder
             .push_bytes(&driver.recv_all())
             .iter()
-            .map(|frame| Response::from_bytes(&frame[3..]).expect("well-formed response"))
+            .map(|frame| Response::from_bytes(&frame[2..]).expect("well-formed response"))
             .collect()
     }
 

@@ -285,10 +285,7 @@ fn aborted_mid_transfer_upload_leaves_the_armed_scheme_untouched() {
     let bytes = replacement.to_bytes();
     let begin = link
         .transact(
-            &Command::UploadBegin {
-                total_len: bytes.len() as u32,
-                crc: uart::frame::crc16(&bytes),
-            },
+            &Command::UploadBegin { total_len: bytes.len() as u32, crc: ckpt::crc32(&bytes) },
             || {
                 shell.poll(&mut fpga);
             },
