@@ -28,6 +28,7 @@ use dnn::tensor::Tensor;
 use rand::Rng;
 
 use crate::fault::{DspTiming, FaultModel, MacFault};
+use crate::schedule::PE_COUNT;
 
 /// Per-MAC fault decision callback.
 pub trait MacHook {
@@ -316,22 +317,19 @@ impl SparseOps {
 }
 
 /// Ring of the last product each PE produced (round-robin issue over
-/// [`DupRing::PE_COUNT`] DSPs).
+/// [`PE_COUNT`] DSPs).
 #[derive(Debug, Clone, Default)]
 struct DupRing {
-    ring: [i32; DupRing::PE_COUNT],
+    ring: [i32; PE_COUNT],
     pos: usize,
 }
 
 impl DupRing {
-    /// Matches [`crate::schedule::AccelConfig::default`]'s `pe_count`.
-    const PE_COUNT: usize = 8;
-
     /// Returns the issuing PE's previous product and records the new one.
     fn exchange(&mut self, product: i32) -> i32 {
         let stale = self.ring[self.pos];
         self.ring[self.pos] = product;
-        self.pos = (self.pos + 1) % Self::PE_COUNT;
+        self.pos = (self.pos + 1) % PE_COUNT;
         stale
     }
 
@@ -339,8 +337,8 @@ impl DupRing {
     /// ops all exchanged their clean products: op `j` lives in slot
     /// `j % PE_COUNT`, and slots no op has reached yet hold 0.
     fn prime(&mut self, op: u64, clean_product: &dyn Fn(u64) -> i32) {
-        let pe = Self::PE_COUNT as u64;
-        self.ring = [0; Self::PE_COUNT];
+        let pe = PE_COUNT as u64;
+        self.ring = [0; PE_COUNT];
         for j in op.saturating_sub(pe)..op {
             self.ring[(j % pe) as usize] = clean_product(j);
         }

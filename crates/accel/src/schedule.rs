@@ -26,50 +26,27 @@ pub enum StageKind {
     Dense,
 }
 
-/// Accelerator throughput parameters.
+/// Number of DSP processing elements.
+pub const PE_COUNT: usize = 8;
+/// MACs per DSP per cycle: the DSPs run double data rate.
+pub const MACS_PER_DSP: usize = 2;
+/// Pooling comparators operating per cycle.
+pub const POOL_LANES: usize = 4;
+/// Accelerator clock in MHz (10 ns cycles).
+pub const CLOCK_MHZ: f64 = 100.0;
+
+/// The accelerator parameters callers vary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelConfig {
-    /// Number of DSP processing elements.
-    pub pe_count: usize,
-    /// Accelerator clock in MHz.
-    pub clock_mhz: f64,
-    /// Whether DSPs run double data rate (2 MACs per DSP per cycle).
-    pub double_data_rate: bool,
     /// Weights the memory interface can stream per cycle (bounds FC).
     pub weight_bandwidth: usize,
-    /// Pooling comparators operating per cycle.
-    pub pool_lanes: usize,
     /// Idle cycles inserted between layers (the Fig. 1b "stalls").
     pub stall_cycles: u64,
 }
 
 impl Default for AccelConfig {
     fn default() -> Self {
-        AccelConfig {
-            pe_count: 8,
-            clock_mhz: 100.0,
-            double_data_rate: true,
-            weight_bandwidth: 4,
-            pool_lanes: 4,
-            stall_cycles: 600,
-        }
-    }
-}
-
-impl AccelConfig {
-    /// MAC throughput per cycle for convolution stages.
-    pub fn conv_macs_per_cycle(&self) -> u64 {
-        (self.pe_count * if self.double_data_rate { 2 } else { 1 }) as u64
-    }
-
-    /// MAC throughput per cycle for dense stages (bandwidth-bound).
-    pub fn dense_macs_per_cycle(&self) -> u64 {
-        self.weight_bandwidth as u64
-    }
-
-    /// Clock period in nanoseconds.
-    pub fn period_ns(&self) -> f64 {
-        1000.0 / self.clock_mhz
+        AccelConfig { weight_bandwidth: 4, stall_cycles: 600 }
     }
 }
 
@@ -154,9 +131,9 @@ impl Schedule {
                 }
             };
             let throughput = match kind {
-                StageKind::Conv => config.conv_macs_per_cycle(),
-                StageKind::Pool => config.pool_lanes as u64,
-                StageKind::Dense => config.dense_macs_per_cycle(),
+                StageKind::Conv => (PE_COUNT * MACS_PER_DSP) as u64,
+                StageKind::Pool => POOL_LANES as u64,
+                StageKind::Dense => config.weight_bandwidth as u64,
             }
             .max(1);
             let cycles = ops.div_ceil(throughput).max(1);
@@ -196,7 +173,7 @@ impl Schedule {
 
     /// Total wall-clock time for one inference in microseconds.
     pub fn total_us(&self) -> f64 {
-        self.total_cycles as f64 * self.config.period_ns() / 1000.0
+        self.total_cycles as f64 * (1000.0 / CLOCK_MHZ) / 1000.0
     }
 
     /// Which stage (if any) is executing at `cycle`; `None` means a stall.
@@ -292,20 +269,6 @@ mod tests {
             assert!(c >= prev);
             prev = c;
         }
-    }
-
-    #[test]
-    fn ddr_halves_conv_time() {
-        let net = lenet5(&mut StdRng::seed_from_u64(0));
-        let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
-        let ddr = Schedule::for_network(&q, &AccelConfig::default());
-        let sdr = Schedule::for_network(
-            &q,
-            &AccelConfig { double_data_rate: false, ..AccelConfig::default() },
-        );
-        let c_ddr = ddr.window("conv2").unwrap().cycles;
-        let c_sdr = sdr.window("conv2").unwrap().cycles;
-        assert!((c_sdr as f64 / c_ddr as f64 - 2.0).abs() < 0.01);
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn small_victim() -> QuantizedNetwork {
 
 fn bench_cosim_inference(c: &mut Criterion) {
     let victim = small_victim();
-    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
+    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
     let mut fpga = CloudFpga::new(&victim, &accel, 8_000, CosimConfig { pdn_substeps: 4 }).unwrap();
     fpga.settle(50);
     let mut group = c.benchmark_group("cosim");
@@ -34,7 +34,7 @@ fn bench_cosim_inference(c: &mut Criterion) {
 
 fn bench_profiling(c: &mut Criterion) {
     let victim = small_victim();
-    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
+    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
     let mut fpga = CloudFpga::new(&victim, &accel, 8_000, CosimConfig { pdn_substeps: 4 }).unwrap();
     fpga.settle(50);
     let run = fpga.run_inference();

@@ -7,9 +7,9 @@
 
 use accel::schedule::AccelConfig;
 use bench::{emit_series, trained_lenet};
-use deepstrike::attack::SAMPLES_PER_CYCLE;
 use deepstrike::cosim::{CloudFpga, CosimConfig};
 use deepstrike::detector::StartDetector;
+use deepstrike::tdc::SAMPLES_PER_CYCLE;
 
 fn main() {
     let (q, _) = trained_lenet();
@@ -41,7 +41,7 @@ fn main() {
 
     let conv1 = fpga.schedule().window("conv1").expect("conv1 scheduled").clone();
     let trigger = trigger_sample.expect("detector must trigger");
-    let trigger_cycle = trigger as u64 / SAMPLES_PER_CYCLE;
+    let trigger_cycle = (trigger / SAMPLES_PER_CYCLE) as u64;
     println!("# detector latched at sample {trigger} (cycle {trigger_cycle})");
     println!("# conv1 executes cycles {}..{}", conv1.start_cycle, conv1.end_cycle());
 

@@ -6,7 +6,7 @@
 //! regenerates all of them from the fabric netlists and the trained
 //! deployment.
 
-use accel::schedule::AccelConfig;
+use accel::schedule::CLOCK_MHZ;
 use bench::{emit_series, trained_lenet};
 use deepstrike::hypervisor::{attacker_netlist, deploy, victim_netlist};
 use deepstrike::striker::StrikerBank;
@@ -15,14 +15,13 @@ use fpga_fabric::device::Device;
 
 fn main() {
     let device = Device::zynq_7020();
-    let accel = AccelConfig::default();
     let striker = StrikerBank::new(8_000).expect("cells > 0");
     let tdc = TdcSensor::calibrated().expect("calibration");
 
     let striker_usage = striker.resource_usage();
     let striker_util = device.utilization(&striker_usage);
     let tdc_usage = tdc.netlist().resource_usage();
-    let victim_usage = victim_netlist(&accel, 32).resource_usage();
+    let victim_usage = victim_netlist(32).resource_usage();
     let attacker_usage = attacker_netlist(&striker, &tdc).resource_usage();
 
     emit_series(
@@ -51,14 +50,14 @@ fn main() {
     );
 
     // Full two-tenant deployment must pass the provider checks.
-    let deployment = deploy(&device, &accel, &striker, &tdc).expect("deployment succeeds");
+    let deployment = deploy(&device, &striker, &tdc).expect("deployment succeeds");
     println!(
         "# hypervisor: combined image deployable, victim-attacker distance {:.2} (normalised)",
         deployment.tenant_distance
     );
 
     // Strike duration at the 100 MHz fSRAM clock.
-    let strike_ns = 1000.0 / accel.clock_mhz;
+    let strike_ns = 1000.0 / CLOCK_MHZ;
     println!("# strike duration: {strike_ns:.0} ns (one fSRAM cycle)");
 
     // Deployed accuracy.

@@ -39,7 +39,7 @@ pub const SCENARIOS: &[&str] = &["fig1b_slice", "fig3_slice", "fig5b_slice", "re
 
 /// Accelerator settings every golden scenario (and the chaos suite) uses.
 pub fn accel_config() -> AccelConfig {
-    AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() }
+    AccelConfig { weight_bandwidth: 16, stall_cycles: 150 }
 }
 
 /// Co-simulation settings every golden scenario (and the chaos suite)

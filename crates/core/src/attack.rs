@@ -30,9 +30,7 @@ use crate::cosim::{CloudFpga, InferenceRun};
 use crate::error::{DeepStrikeError, Result};
 use crate::profile::{segment_trace, SignatureLibrary};
 use crate::signal_ram::AttackScheme;
-
-/// TDC samples per victim cycle (200 MHz sensor vs 100 MHz victim clock).
-pub const SAMPLES_PER_CYCLE: u64 = 2;
+use crate::tdc::SAMPLES_PER_CYCLE;
 
 /// What profiling learned about the victim.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,11 +99,11 @@ pub fn profile_from_traces(traces: &[Vec<u8>], layer_names: &[&str]) -> Result<V
             library.learn(name, seg);
         }
         for (i, seg) in segments.iter().enumerate() {
-            sums[i].0 += seg.start as u64 / SAMPLES_PER_CYCLE;
-            sums[i].1 += seg.len as u64 / SAMPLES_PER_CYCLE;
+            sums[i].0 += (seg.start / SAMPLES_PER_CYCLE) as u64;
+            sums[i].1 += (seg.len / SAMPLES_PER_CYCLE) as u64;
         }
         // The detector latches `DEBOUNCE` samples into the first layer.
-        trigger_sum += segments[0].start as u64 / SAMPLES_PER_CYCLE + 2;
+        trigger_sum += (segments[0].start / SAMPLES_PER_CYCLE) as u64 + 2;
     }
     let n = traces.len() as u64;
     Ok(VictimProfile {
@@ -544,7 +542,7 @@ mod tests {
     }
 
     fn accel_config() -> AccelConfig {
-        AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() }
+        AccelConfig { weight_bandwidth: 16, stall_cycles: 150 }
     }
 
     fn platform(cells: usize, q: &QuantizedNetwork) -> CloudFpga {

@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use accel::power;
-use accel::schedule::{AccelConfig, Schedule};
+use accel::schedule::{AccelConfig, Schedule, CLOCK_MHZ};
 use dnn::quant::QuantizedNetwork;
 use pdn::grid::{NodeId, SpatialPdn};
 use pdn::thermal::ThermalModel;
@@ -28,11 +28,11 @@ use uart::proto::StatusInfo;
 use uart::transport::ShellHandler;
 
 use crate::detector::StartDetector;
-use crate::error::Result;
+use crate::error::{DeepStrikeError, Result};
 use crate::scheduler::AttackScheduler;
 use crate::signal_ram::{AttackScheme, SignalRam};
 use crate::striker::StrikerBank;
-use crate::tdc::TdcSensor;
+use crate::tdc::{TdcSensor, SAMPLES_PER_CYCLE};
 
 /// Victim placement as a fraction of the die (x, y).
 const VICTIM_POS: (f64, f64) = (0.12, 0.5);
@@ -44,7 +44,8 @@ const TRACE_CAPACITY: usize = 1 << 20;
 /// Co-simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosimConfig {
-    /// PDN integration substeps per victim cycle.
+    /// PDN integration substeps per victim cycle: a positive multiple of
+    /// [`SAMPLES_PER_CYCLE`], so the TDC samples on a substep boundary.
     pub pdn_substeps: usize,
 }
 
@@ -129,22 +130,28 @@ impl CloudFpga {
     ///
     /// # Errors
     ///
-    /// Propagates TDC calibration and striker configuration failures.
+    /// Returns [`DeepStrikeError::InvalidConfig`] unless `pdn_substeps` is
+    /// a positive multiple of [`SAMPLES_PER_CYCLE`]; propagates TDC
+    /// calibration and striker configuration failures.
     pub fn new(
         victim: &QuantizedNetwork,
         accel_config: &AccelConfig,
         striker_cells: usize,
         config: CosimConfig,
     ) -> Result<Self> {
+        if config.pdn_substeps == 0 || !config.pdn_substeps.is_multiple_of(SAMPLES_PER_CYCLE) {
+            return Err(DeepStrikeError::InvalidConfig(format!(
+                "pdn_substeps {} is not a positive multiple of {SAMPLES_PER_CYCLE}",
+                config.pdn_substeps
+            )));
+        }
         let schedule = Schedule::for_network(victim, accel_config);
         let pdn = SpatialPdn::new();
         let victim_node = pdn.node_at_fraction(VICTIM_POS.0, VICTIM_POS.1);
         let attacker_node = pdn.node_at_fraction(ATTACKER_POS.0, ATTACKER_POS.1);
         let tdc = TdcSensor::calibrated()?;
         let striker = StrikerBank::new(striker_cells)?;
-        // Two RAMB36s: campaigns that target late layers (e.g. 4,500
-        // strikes into FC1 behind a ~17k-cycle delay) compile to ~48k bits.
-        let scheduler = AttackScheduler::new(StartDetector::new(), SignalRam::new(2)?);
+        let scheduler = AttackScheduler::new(StartDetector::new(), SignalRam::new());
         Ok(CloudFpga {
             config,
             schedule,
@@ -197,7 +204,7 @@ impl CloudFpga {
     }
 
     pub(crate) fn substep_dt(&self) -> f64 {
-        let period_s = 1.0e-6 / self.schedule.config().clock_mhz;
+        let period_s = 1.0e-6 / CLOCK_MHZ;
         period_s / self.config.pdn_substeps as f64
     }
 
@@ -223,8 +230,7 @@ impl CloudFpga {
     pub(crate) fn step_cycle(&mut self, cycle: u64, rec: &mut RunRecorder) {
         let dt = self.substep_dt();
         let substeps = self.config.pdn_substeps;
-        // TDC samples twice per 10 ns victim cycle (200 MHz).
-        let tdc_every = (substeps / 2).max(1);
+        let tdc_every = substeps / SAMPLES_PER_CYCLE;
 
         // Victim current for this cycle.
         let i_victim = power::current_at(&self.schedule, cycle);
@@ -344,7 +350,7 @@ pub(crate) struct RunRecorder {
 impl RunRecorder {
     pub(crate) fn new(total: u64, record_powers: bool) -> Self {
         RunRecorder {
-            tdc_trace: Vec::with_capacity((total as usize) * 2),
+            tdc_trace: Vec::with_capacity(total as usize * SAMPLES_PER_CYCLE),
             victim_voltage: Vec::with_capacity(total as usize),
             strike_cycles: Vec::new(),
             triggered_cycle: None,
@@ -407,12 +413,30 @@ mod tests {
     fn small_platform(striker_cells: usize) -> CloudFpga {
         let net = mlp(&mut StdRng::seed_from_u64(0));
         let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
-        let accel =
-            AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
+        let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
         let mut fpga =
             CloudFpga::new(&q, &accel, striker_cells, CosimConfig { pdn_substeps: 4 }).unwrap();
         fpga.settle(50);
         fpga
+    }
+
+    #[test]
+    fn substeps_must_be_a_positive_multiple_of_the_tdc_rate() {
+        let net = mlp(&mut StdRng::seed_from_u64(0));
+        let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
+        for (pdn_substeps, valid) in
+            [(0, false), (1, false), (3, false), (5, false), (2, true), (4, true), (10, true)]
+        {
+            let built =
+                CloudFpga::new(&q, &AccelConfig::default(), 8_000, CosimConfig { pdn_substeps });
+            match built {
+                Ok(_) => assert!(valid, "{pdn_substeps} substeps accepted"),
+                Err(DeepStrikeError::InvalidConfig(_)) => {
+                    assert!(!valid, "{pdn_substeps} substeps rejected");
+                }
+                Err(e) => panic!("{pdn_substeps} substeps: unexpected error {e}"),
+            }
+        }
     }
 
     #[test]
@@ -430,8 +454,7 @@ mod tests {
         let mut fpga = small_platform(8_000);
         let run = fpga.run_inference();
         let w = fpga.schedule().window("fc1").unwrap();
-        // TDC samples at 2 per cycle.
-        let mid = (w.start_cycle + w.cycles / 2) as usize * 2;
+        let mid = (w.start_cycle + w.cycles / 2) as usize * SAMPLES_PER_CYCLE;
         let exec_mean =
             run.tdc_trace[mid..mid + 200].iter().map(|&v| f64::from(v)).sum::<f64>() / 200.0;
         assert!(exec_mean < 86.0, "execution should droop the readout: {exec_mean}");

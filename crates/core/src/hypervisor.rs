@@ -8,7 +8,7 @@
 //! checks — demonstrating that the whole DeepStrike payload passes DRC and
 //! fits the PYNQ-Z1's resource budget alongside the victim.
 
-use accel::schedule::AccelConfig;
+use accel::schedule::PE_COUNT;
 use fpga_fabric::bitstream::{combine_with, Bitstream, TenantDesign};
 use fpga_fabric::device::Device;
 use fpga_fabric::drc::DrcPolicy;
@@ -17,15 +17,16 @@ use fpga_fabric::netlist::Netlist;
 use fpga_fabric::primitive::PrimitiveKind;
 
 use crate::error::Result;
+use crate::signal_ram::BRAMS;
 use crate::striker::StrikerBank;
 use crate::tdc::TdcSensor;
 
 /// Synthesises a resource-accurate proxy netlist for the victim
 /// accelerator: its DSP array, operand/result registers, weight BRAMs and
 /// control logic.
-pub fn victim_netlist(accel: &AccelConfig, weight_brams: usize) -> Netlist {
+pub fn victim_netlist(weight_brams: usize) -> Netlist {
     let mut n = Netlist::new("dnn_accelerator");
-    for i in 0..accel.pe_count {
+    for i in 0..PE_COUNT {
         n.add_cell(&format!("pe{i}_dsp"), PrimitiveKind::Dsp48, None);
         // Operand staging + result fetch registers per PE.
         for r in 0..24 {
@@ -47,7 +48,7 @@ pub fn victim_netlist(accel: &AccelConfig, weight_brams: usize) -> Netlist {
 }
 
 /// Builds the attacker tenant: striker bank + TDC sensor + detector/
-/// scheduler glue + the signal-RAM BRAM.
+/// scheduler glue + the signal RAM's [`BRAMS`] RAMB36s.
 pub fn attacker_netlist(striker: &StrikerBank, tdc: &TdcSensor) -> Netlist {
     let mut n = striker.netlist();
     n.merge(&tdc.netlist(), "tdc");
@@ -58,7 +59,9 @@ pub fn attacker_netlist(striker: &StrikerBank, tdc: &TdcSensor) -> Netlist {
     for r in 0..32 {
         n.add_cell(&format!("sched_ff{r}"), PrimitiveKind::Fdre, None);
     }
-    n.add_cell("signal_ram", PrimitiveKind::Bram36, None);
+    for b in 0..BRAMS {
+        n.add_cell(&format!("signal_ram{b}"), PrimitiveKind::Bram36, None);
+    }
     n
 }
 
@@ -78,13 +81,8 @@ pub struct Deployment {
 ///
 /// Propagates DRC rejections and placement failures — e.g. a striker bank
 /// too large for the attacker's region.
-pub fn deploy(
-    device: &Device,
-    accel: &AccelConfig,
-    striker: &StrikerBank,
-    tdc: &TdcSensor,
-) -> Result<Deployment> {
-    deploy_with_policy(device, accel, striker, tdc, DrcPolicy::standard())
+pub fn deploy(device: &Device, striker: &StrikerBank, tdc: &TdcSensor) -> Result<Deployment> {
+    deploy_with_policy(device, striker, tdc, DrcPolicy::standard())
 }
 
 /// [`deploy`] under an explicit provider screening policy.
@@ -98,7 +96,6 @@ pub fn deploy(
 /// As [`deploy`].
 pub fn deploy_with_policy(
     device: &Device,
-    accel: &AccelConfig,
     striker: &StrikerBank,
     tdc: &TdcSensor,
     policy: DrcPolicy,
@@ -109,7 +106,7 @@ pub fn deploy_with_policy(
     let victim_region = Region::new(0, 0, cols * 2 / 5, rows - 1);
     let attacker_region = Region::new(cols * 3 / 5, 0, cols - 1, rows - 1);
     let tenants = vec![
-        TenantDesign::new("victim", victim_netlist(accel, 32), victim_region),
+        TenantDesign::new("victim", victim_netlist(32), victim_region),
         TenantDesign::new("attacker", attacker_netlist(striker, tdc), attacker_region),
     ];
     let bitstream = combine_with(device, tenants, policy)?;
@@ -131,7 +128,7 @@ mod tests {
     fn paper_deployment_fits_and_passes_drc() {
         let device = Device::zynq_7020();
         let striker = StrikerBank::new(8_000).unwrap();
-        let deployment = deploy(&device, &AccelConfig::default(), &striker, &tdc()).unwrap();
+        let deployment = deploy(&device, &striker, &tdc()).unwrap();
         assert!(deployment.tenant_distance > 0.4, "tenants must be far apart");
         let usage = deployment.bitstream.total_usage();
         assert!(usage.dsp >= 8, "victim DSP array present");
@@ -146,16 +143,9 @@ mod tests {
         let device = Device::zynq_7020();
         let striker = StrikerBank::new(64).unwrap();
         // Standard screening admits the attack…
-        deploy(&device, &AccelConfig::default(), &striker, &tdc()).unwrap();
+        deploy(&device, &striker, &tdc()).unwrap();
         // …the latch-loop scanner does not.
-        let err = deploy_with_policy(
-            &device,
-            &AccelConfig::default(),
-            &striker,
-            &tdc(),
-            DrcPolicy::strict(),
-        )
-        .unwrap_err();
+        let err = deploy_with_policy(&device, &striker, &tdc(), DrcPolicy::strict()).unwrap_err();
         assert!(matches!(
             err,
             crate::error::DeepStrikeError::Fabric(FabricError::DrcRejected { .. })
@@ -167,7 +157,7 @@ mod tests {
         let device = Device::zynq_7020();
         // 60k cells = 60k LUTs: more than the whole device.
         let striker = StrikerBank::new(60_000).unwrap();
-        let err = deploy(&device, &AccelConfig::default(), &striker, &tdc()).unwrap_err();
+        let err = deploy(&device, &striker, &tdc()).unwrap_err();
         assert!(matches!(
             err,
             crate::error::DeepStrikeError::Fabric(FabricError::PlacementOverflow { .. })
@@ -175,12 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn victim_netlist_resources_scale_with_pes() {
-        let small = victim_netlist(&AccelConfig { pe_count: 4, ..AccelConfig::default() }, 8);
-        let large = victim_netlist(&AccelConfig { pe_count: 16, ..AccelConfig::default() }, 8);
-        assert_eq!(small.resource_usage().dsp, 4);
-        assert_eq!(large.resource_usage().dsp, 16);
-        assert!(large.resource_usage().flip_flops > small.resource_usage().flip_flops);
+    fn victim_netlist_has_one_dsp_per_pe() {
+        let usage = victim_netlist(8).resource_usage();
+        assert_eq!(usage.dsp, PE_COUNT);
+        assert_eq!(usage.bram, 8, "weight BRAMs");
     }
 
     #[test]
@@ -189,7 +177,7 @@ mod tests {
         let n = attacker_netlist(&striker, &tdc());
         let usage = n.resource_usage();
         assert_eq!(usage.latches, 200, "2 LDCE per striker cell");
-        assert_eq!(usage.bram, 1, "signal RAM");
+        assert_eq!(usage.bram, BRAMS, "signal RAM");
         assert_eq!(usage.carry4, 32, "TDC carry chain");
         assert!(n.cell_by_name("tdc/dl_lut0").is_some());
     }

@@ -755,8 +755,7 @@ mod tests {
     }
 
     fn platform(q: &QuantizedNetwork) -> CloudFpga {
-        let accel =
-            AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
+        let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
         let mut fpga = CloudFpga::new(q, &accel, 16_000, CosimConfig { pdn_substeps: 4 }).unwrap();
         fpga.settle(30);
         fpga

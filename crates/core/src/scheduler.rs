@@ -9,7 +9,7 @@ use uart::proto::StatusInfo;
 
 use crate::detector::StartDetector;
 use crate::error::{DeepStrikeError, Result};
-use crate::signal_ram::{AttackScheme, SignalRam};
+use crate::signal_ram::{AttackScheme, SchemeProgram, SignalRam};
 
 /// The scheduler FSM.
 ///
@@ -21,7 +21,7 @@ use crate::signal_ram::{AttackScheme, SignalRam};
 /// use deepstrike::signal_ram::{AttackScheme, SignalRam};
 ///
 /// let det = StartDetector::new();
-/// let ram = SignalRam::new(1)?;
+/// let ram = SignalRam::new();
 /// let mut sched = AttackScheduler::new(det, ram);
 /// sched.load_scheme(&AttackScheme::single(0))?;
 /// sched.arm(true)?;
@@ -63,7 +63,7 @@ impl AttackScheduler {
     }
 
     /// Snapshot-fork support (`crate::snapshot`): mutable RAM access for
-    /// installing a candidate bit vector mid-flight.
+    /// installing a candidate program mid-flight.
     pub(crate) fn ram_mut(&mut self) -> &mut SignalRam {
         &mut self.ram
     }
@@ -75,7 +75,7 @@ impl AttackScheduler {
     /// Returns [`DeepStrikeError::SchemeTooLarge`] if it does not fit.
     pub fn load_scheme(&mut self, scheme: &AttackScheme) -> Result<()> {
         self.armed = false;
-        self.ram.load(scheme)
+        self.ram.load(SchemeProgram::from(*scheme))
     }
 
     /// Loads a multi-phase program (disarms first).
@@ -83,9 +83,9 @@ impl AttackScheduler {
     /// # Errors
     ///
     /// Returns [`DeepStrikeError::SchemeTooLarge`] if it does not fit.
-    pub fn load_program(&mut self, program: &crate::signal_ram::SchemeProgram) -> Result<()> {
+    pub fn load_program(&mut self, program: &SchemeProgram) -> Result<()> {
         self.armed = false;
-        self.ram.load_program(program)
+        self.ram.load(program.clone())
     }
 
     /// Arms or disarms.
@@ -189,7 +189,7 @@ mod tests {
 
     fn scheduler() -> AttackScheduler {
         let det = StartDetector::new();
-        let ram = SignalRam::new(1).unwrap();
+        let ram = SignalRam::new();
         AttackScheduler::new(det, ram)
     }
 

@@ -5,8 +5,15 @@
 //! enable and '0' to disable the power striker" — *attack delay* is a run
 //! of `0`s, *attack period* a run of `1`s, and the *number of attacks* is
 //! however many `1`-runs the vector holds. The vector lives in on-chip
-//! BRAM (one RAMB36 = 36,864 bits) and is played back at `f_sRAM`, one bit
-//! per clock, after the DNN start detector fires.
+//! BRAM ([`BRAMS`] RAMB36s, [`CAPACITY_BITS`] bits) and is played back at
+//! `f_sRAM`, one bit per clock, after the DNN start detector fires.
+//!
+//! The model stores the loaded [`SchemeProgram`], not its bits: the bit at
+//! any playback position follows from the phase arithmetic (a delay run,
+//! then `strikes` periods of `strike_cycles` ones and `gap_cycles` zeros),
+//! so a RAM is a few words whatever the scheme's length and a platform
+//! clone never copies a bit vector. [`AttackScheme::to_bits`] spells the
+//! vector out; it is the reference that playback is tested against.
 
 use ckpt::wire::{self, Reader};
 
@@ -14,6 +21,14 @@ use crate::error::{DeepStrikeError, Result};
 
 /// Bit capacity of one RAMB36.
 pub const BRAM36_BITS: usize = 36_864;
+
+/// RAMB36 primitives backing the signal RAM. Two, because campaigns that
+/// target late layers (e.g. 4,500 strikes into FC1 behind a ~17k-cycle
+/// delay) compile to ~48k bits.
+pub const BRAMS: usize = 2;
+
+/// Bit capacity of the signal RAM.
+pub const CAPACITY_BITS: usize = BRAMS * BRAM36_BITS;
 
 /// High-level description of a strike pattern, compiled to the bit vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +51,14 @@ impl AttackScheme {
         AttackScheme { delay_cycles, strikes: 1, strike_cycles: 1, gap_cycles: 0 }
     }
 
-    /// Total length of the compiled bit vector.
+    /// Total length of the compiled bit vector, saturating at `usize::MAX`
+    /// (any field values may arrive over the UART).
     pub fn total_bits(&self) -> usize {
-        self.delay_cycles as usize
-            + self.strikes as usize * (self.strike_cycles as usize + self.gap_cycles as usize)
+        let period = self.strike_cycles as usize + self.gap_cycles as usize;
+        (self.strikes as usize).saturating_mul(period).saturating_add(self.delay_cycles as usize)
     }
 
-    /// Compiles to the per-cycle enable bits.
+    /// Compiles to the per-cycle enable bits: the reference for playback.
     pub fn to_bits(&self) -> Vec<bool> {
         let mut bits = Vec::with_capacity(self.total_bits());
         bits.extend(std::iter::repeat_n(false, self.delay_cycles as usize));
@@ -51,6 +67,19 @@ impl AttackScheme {
             bits.extend(std::iter::repeat_n(false, self.gap_cycles as usize));
         }
         bits
+    }
+
+    /// Position of the first `1` bit, if the scheme strikes at all.
+    pub(crate) fn first_strike(&self) -> Option<usize> {
+        (self.strikes > 0 && self.strike_cycles > 0).then_some(self.delay_cycles as usize)
+    }
+
+    /// Bit `pos` of [`to_bits`](Self::to_bits), for `pos < total_bits()`.
+    fn bit_at(&self, pos: usize) -> bool {
+        let period = self.strike_cycles as usize + self.gap_cycles as usize;
+        pos.checked_sub(self.delay_cycles as usize)
+            .and_then(|k| k.checked_rem(period))
+            .is_some_and(|k| k < self.strike_cycles as usize)
     }
 
     /// Serialises the scheme for the UART scheme upload: the four fields
@@ -84,23 +113,27 @@ impl AttackScheme {
     }
 }
 
-/// A multi-phase attack program: several schemes concatenated into one bit
-/// vector, so a single trigger can strike *several* layers in one inference
-/// ("the attacker \[has\] high flexibility to load different attack
-/// strategies at run-time, i.e., dynamically target at different DNN
-/// layers", §III-D).
+/// A multi-phase attack program: several schemes played back to back, so
+/// a single trigger can strike *several* layers in one inference ("the
+/// attacker \[has\] high flexibility to load different attack strategies
+/// at run-time, i.e., dynamically target at different DNN layers",
+/// §III-D).
 ///
 /// # Example
 ///
 /// ```
-/// use deepstrike::signal_ram::{AttackScheme, SchemeProgram};
+/// use deepstrike::signal_ram::{AttackScheme, SchemeProgram, SignalRam};
 ///
 /// let program = SchemeProgram::new(vec![
 ///     AttackScheme { delay_cycles: 2, strikes: 1, strike_cycles: 1, gap_cycles: 0 },
 ///     AttackScheme { delay_cycles: 3, strikes: 1, strike_cycles: 1, gap_cycles: 0 },
 /// ]);
-/// let bits = program.to_bits();
-/// assert_eq!(bits, [false, false, true, false, false, false, true]);
+/// let mut ram = SignalRam::new();
+/// ram.load(program)?;
+/// ram.start();
+/// let played: Vec<bool> = (0..8).map(|_| ram.next_bit()).collect();
+/// assert_eq!(played, [false, false, true, false, false, false, true, false]);
+/// # Ok::<(), deepstrike::DeepStrikeError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SchemeProgram {
@@ -119,54 +152,27 @@ impl SchemeProgram {
         &self.phases
     }
 
-    /// Total compiled length in bits.
+    /// Total compiled length in bits, saturating at `usize::MAX`.
     pub fn total_bits(&self) -> usize {
-        self.phases.iter().map(AttackScheme::total_bits).sum()
+        self.phases.iter().fold(0, |sum, phase| sum.saturating_add(phase.total_bits()))
     }
 
-    /// Total strikes across all phases.
+    /// Total strikes across all phases, saturating at `u32::MAX`.
     pub fn total_strikes(&self) -> u32 {
-        self.phases.iter().map(|p| p.strikes).sum()
+        self.phases.iter().fold(0, |sum, phase| sum.saturating_add(phase.strikes))
     }
 
-    /// Compiles to the per-cycle enable bits.
-    pub fn to_bits(&self) -> Vec<bool> {
-        let mut bits = Vec::with_capacity(self.total_bits());
+    /// Bit `pos` of the phases' concatenated [`AttackScheme::to_bits`];
+    /// `false` past the end.
+    fn bit_at(&self, mut pos: usize) -> bool {
         for phase in &self.phases {
-            bits.extend(phase.to_bits());
+            let len = phase.total_bits();
+            if pos < len {
+                return phase.bit_at(pos);
+            }
+            pos -= len;
         }
-        bits
-    }
-
-    /// Serialises the program for the UART scheme upload
-    /// (16 bytes per phase).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(16 * self.phases.len());
-        for phase in &self.phases {
-            v.extend_from_slice(&phase.to_bytes());
-        }
-        v
-    }
-
-    /// Parses a program from uploaded bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepStrikeError::MalformedScheme`] unless the length is a
-    /// positive multiple of 16.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.is_empty() || !bytes.len().is_multiple_of(16) {
-            return Err(DeepStrikeError::MalformedScheme(format!(
-                "program length {} is not a positive multiple of 16",
-                bytes.len()
-            )));
-        }
-        Ok(SchemeProgram {
-            phases: bytes
-                .chunks_exact(16)
-                .map(AttackScheme::from_bytes)
-                .collect::<Result<Vec<_>>>()?,
-        })
+        false
     }
 }
 
@@ -176,59 +182,41 @@ impl From<AttackScheme> for SchemeProgram {
     }
 }
 
-/// The BRAM-backed playback engine.
+/// The BRAM-backed playback engine: the loaded program and a cursor.
 ///
 /// # Example
 ///
 /// ```
 /// use deepstrike::signal_ram::{AttackScheme, SignalRam};
 ///
-/// let mut ram = SignalRam::new(1)?;
-/// ram.load(&AttackScheme { delay_cycles: 2, strikes: 2, strike_cycles: 1, gap_cycles: 1 })?;
+/// let mut ram = SignalRam::new();
+/// ram.load(AttackScheme { delay_cycles: 2, strikes: 2, strike_cycles: 1, gap_cycles: 1 }.into())?;
 /// ram.start();
 /// let played: Vec<bool> = (0..6).map(|_| ram.next_bit()).collect();
 /// assert_eq!(played, [false, false, true, false, true, false]);
 /// # Ok::<(), deepstrike::DeepStrikeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SignalRam {
-    capacity_bits: usize,
-    bits: Vec<bool>,
+    program: SchemeProgram,
     cursor: usize,
     running: bool,
 }
 
 impl SignalRam {
-    /// Creates an empty signal RAM backed by `brams` RAMB36 primitives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepStrikeError::InvalidConfig`] if `brams == 0`.
-    pub fn new(brams: usize) -> Result<Self> {
-        if brams == 0 {
-            return Err(DeepStrikeError::InvalidConfig("at least one BRAM required".into()));
-        }
-        Ok(SignalRam {
-            capacity_bits: brams * BRAM36_BITS,
-            bits: Vec::new(),
-            cursor: 0,
-            running: false,
-        })
-    }
-
-    /// Bit capacity.
-    pub fn capacity_bits(&self) -> usize {
-        self.capacity_bits
+    /// Creates an empty signal RAM of [`CAPACITY_BITS`] bits.
+    pub fn new() -> Self {
+        SignalRam::default()
     }
 
     /// Bits currently loaded.
     pub fn len_bits(&self) -> usize {
-        self.bits.len()
+        self.program.total_bits()
     }
 
     /// Whether a scheme is loaded.
     pub fn is_loaded(&self) -> bool {
-        !self.bits.is_empty()
+        self.len_bits() > 0
     }
 
     /// Whether playback is active.
@@ -241,50 +229,40 @@ impl SignalRam {
         self.cursor
     }
 
-    /// Snapshot-fork support (`crate::snapshot`): installs `bits` as if
-    /// they had been loaded *before* playback began, positioned mid-flight.
-    /// The cursor clamps to the vector length and playback self-stops when
-    /// the position is already at (or past) the end — exactly the state a
-    /// naive run reaches after consuming `cursor` bits of this vector.
-    /// Emits no trace events: forked suffix runs only execute when trace
-    /// collection is off.
-    pub(crate) fn fork_install(&mut self, bits: Vec<bool>, cursor: usize, started: bool) {
-        debug_assert!(bits.len() <= self.capacity_bits, "fork caller checks capacity");
-        self.cursor = cursor.min(bits.len());
-        self.running = started && self.cursor < bits.len();
-        self.bits = bits;
+    /// Snapshot-fork support (`crate::snapshot`): installs `program` as if
+    /// it had been loaded *before* playback began, positioned mid-flight.
+    /// The cursor clamps to the program length and playback self-stops
+    /// when the position is already at (or past) the end — exactly the
+    /// state a naive run reaches after consuming `cursor` bits of this
+    /// program. Emits no trace events: forked suffix runs only execute
+    /// when trace collection is off.
+    pub(crate) fn fork_install(&mut self, program: SchemeProgram, cursor: usize, started: bool) {
+        let len = program.total_bits();
+        debug_assert!(len <= CAPACITY_BITS, "fork caller checks capacity");
+        self.cursor = cursor.min(len);
+        self.running = started && self.cursor < len;
+        self.program = program;
     }
 
-    /// Compiles and loads a scheme, replacing any previous one and
-    /// stopping playback.
+    /// Loads a program, replacing any previous one and stopping playback.
     ///
     /// # Errors
     ///
     /// Returns [`DeepStrikeError::SchemeTooLarge`] if the compiled vector
-    /// exceeds capacity.
-    pub fn load(&mut self, scheme: &AttackScheme) -> Result<()> {
-        self.load_program(&SchemeProgram::from(*scheme))
-    }
-
-    /// Compiles and loads a multi-phase program.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepStrikeError::SchemeTooLarge`] if the compiled vector
-    /// exceeds capacity.
-    pub fn load_program(&mut self, program: &SchemeProgram) -> Result<()> {
+    /// exceeds [`CAPACITY_BITS`].
+    pub fn load(&mut self, program: SchemeProgram) -> Result<()> {
         let bits = program.total_bits();
-        if bits > self.capacity_bits {
-            return Err(DeepStrikeError::SchemeTooLarge { bits, capacity: self.capacity_bits });
+        if bits > CAPACITY_BITS {
+            return Err(DeepStrikeError::SchemeTooLarge { bits, capacity: CAPACITY_BITS });
         }
-        self.bits = program.to_bits();
-        self.cursor = 0;
-        self.running = false;
         trace::emit(|| trace::Event::SchemeLoaded {
             bits: bits as u64,
             strikes: program.total_strikes(),
             phases: program.phases().len() as u32,
         });
+        self.program = program;
+        self.cursor = 0;
+        self.running = false;
         Ok(())
     }
 
@@ -293,7 +271,7 @@ impl SignalRam {
         self.cursor = 0;
         self.running = self.is_loaded();
         if self.running {
-            trace::emit(|| trace::Event::PlaybackStart { len_bits: self.bits.len() as u64 });
+            trace::emit(|| trace::Event::PlaybackStart { len_bits: self.len_bits() as u64 });
         }
     }
 
@@ -303,25 +281,19 @@ impl SignalRam {
     }
 
     /// Reads the next enable bit at `f_sRAM`; `false` when idle or the
-    /// vector is exhausted (playback self-stops at the end).
+    /// program is exhausted (playback self-stops at the end).
     pub fn next_bit(&mut self) -> bool {
         if !self.running {
             return false;
         }
-        match self.bits.get(self.cursor) {
-            Some(&b) => {
-                self.cursor += 1;
-                if self.cursor >= self.bits.len() {
-                    self.running = false;
-                    trace::emit(|| trace::Event::PlaybackDone { bits_played: self.cursor as u64 });
-                }
-                b
-            }
-            None => {
-                self.running = false;
-                false
-            }
+        // Playback only runs with the cursor inside the program.
+        let bit = self.program.bit_at(self.cursor);
+        self.cursor += 1;
+        if self.cursor >= self.len_bits() {
+            self.running = false;
+            trace::emit(|| trace::Event::PlaybackDone { bits_played: self.cursor as u64 });
         }
+        bit
     }
 }
 
@@ -349,24 +321,82 @@ mod tests {
 
     #[test]
     fn ram_enforces_capacity() {
-        let mut ram = SignalRam::new(1).unwrap();
-        let too_big =
-            AttackScheme { delay_cycles: 40_000, strikes: 1, strike_cycles: 1, gap_cycles: 0 };
-        let err = ram.load(&too_big).unwrap_err();
+        let mut ram = SignalRam::new();
+        let full = AttackScheme { delay_cycles: CAPACITY_BITS as u32, ..AttackScheme::single(0) };
+        let too_big = AttackScheme { strikes: 1, ..full };
+        let full = AttackScheme { strikes: 0, ..full };
+        assert_eq!(too_big.total_bits(), CAPACITY_BITS + 1);
+        let err = ram.load(too_big.into()).unwrap_err();
         assert!(matches!(err, DeepStrikeError::SchemeTooLarge { .. }));
+        ram.load(full.into()).unwrap();
+        assert_eq!(ram.len_bits(), CAPACITY_BITS);
         // The paper's biggest campaign fits in one BRAM: 4500 strikes at
         // 1 on + 1 off.
         let paper =
             AttackScheme { delay_cycles: 600, strikes: 4500, strike_cycles: 1, gap_cycles: 1 };
         assert!(paper.total_bits() <= BRAM36_BITS);
-        ram.load(&paper).unwrap();
+        ram.load(paper.into()).unwrap();
         assert_eq!(ram.len_bits(), paper.total_bits());
     }
 
     #[test]
+    fn extreme_uploads_are_refused_or_play_without_panicking() {
+        let mut ram = SignalRam::new();
+        // Every field at u32::MAX: the length saturates instead of
+        // overflowing, and the RAM refuses it.
+        let max = AttackScheme::from_bytes(&[0xFF; 16]).unwrap();
+        assert_eq!(max.total_bits(), usize::MAX);
+        assert!(matches!(ram.load(max.into()), Err(DeepStrikeError::SchemeTooLarge { .. })));
+        // Strikes with a zero period: all delay, no division by zero.
+        let hollow =
+            AttackScheme { delay_cycles: 3, strikes: 1_000, strike_cycles: 0, gap_cycles: 0 };
+        ram.load(hollow.into()).unwrap();
+        ram.start();
+        let played: Vec<bool> = (0..5).map(|_| ram.next_bit()).collect();
+        assert_eq!(played, [false; 5]);
+        assert_eq!(hollow.first_strike(), None);
+    }
+
+    #[test]
+    fn fork_install_plays_the_reference_suffix_at_every_cursor() {
+        let program = SchemeProgram::new(vec![
+            AttackScheme { delay_cycles: 2, strikes: 2, strike_cycles: 2, gap_cycles: 1 },
+            AttackScheme { delay_cycles: 1, strikes: 3, strike_cycles: 1, gap_cycles: 0 },
+        ]);
+        let reference: Vec<bool> =
+            program.phases().iter().flat_map(AttackScheme::to_bits).collect();
+        assert_eq!(reference.len(), program.total_bits());
+        // Cursors cover both phase boundaries (8 and 12) and run past the end.
+        for cursor in 0..reference.len() + 3 {
+            let mut ram = SignalRam::new();
+            ram.fork_install(program.clone(), cursor, true);
+            let suffix = reference.get(cursor..).unwrap_or_default();
+            let played: Vec<bool> = suffix.iter().map(|_| ram.next_bit()).collect();
+            assert_eq!(played, suffix, "cursor {cursor}");
+            assert!(!ram.is_running(), "cursor {cursor}: playback must stop at the end");
+            assert!(!ram.next_bit());
+            assert_eq!(ram.cursor(), reference.len());
+
+            let mut idle = SignalRam::new();
+            idle.fork_install(program.clone(), cursor, false);
+            assert!(!idle.next_bit(), "cursor {cursor}: an unstarted fork stays low");
+        }
+    }
+
+    #[test]
+    fn first_strike_is_the_first_one_bit() {
+        for strikes in 0..3 {
+            for strike_cycles in 0..3 {
+                let s = AttackScheme { delay_cycles: 4, strikes, strike_cycles, gap_cycles: 1 };
+                assert_eq!(s.first_strike(), s.to_bits().iter().position(|&b| b), "{s:?}");
+            }
+        }
+    }
+
+    #[test]
     fn playback_self_stops_and_restarts() {
-        let mut ram = SignalRam::new(1).unwrap();
-        ram.load(&AttackScheme::single(1)).unwrap();
+        let mut ram = SignalRam::new();
+        ram.load(AttackScheme::single(1).into()).unwrap();
         assert!(!ram.next_bit(), "not started yet");
         ram.start();
         assert!(!ram.next_bit());
@@ -380,10 +410,10 @@ mod tests {
 
     #[test]
     fn loading_stops_playback() {
-        let mut ram = SignalRam::new(1).unwrap();
-        ram.load(&AttackScheme::single(0)).unwrap();
+        let mut ram = SignalRam::new();
+        ram.load(AttackScheme::single(0).into()).unwrap();
         ram.start();
-        ram.load(&AttackScheme::single(5)).unwrap();
+        ram.load(AttackScheme::single(5).into()).unwrap();
         assert!(!ram.is_running());
     }
 
@@ -396,10 +426,5 @@ mod tests {
         let bits = scheme.to_bits();
         let rises = bits.windows(2).filter(|w| !w[0] && w[1]).count() + usize::from(bits[0]);
         assert_eq!(rises, 7);
-    }
-
-    #[test]
-    fn zero_bram_rejected() {
-        assert!(SignalRam::new(0).is_err());
     }
 }

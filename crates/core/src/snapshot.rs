@@ -17,8 +17,10 @@
 //!    replicate the exact detector/RAM activity of a real candidate run:
 //!    until its first strike a candidate is indistinguishable from the
 //!    sentinel, so the fork state *is* the candidate's state — except for
-//!    the RAM contents, which `SignalRam::fork_install` swaps in at the
-//!    preserved playback position.
+//!    the loaded program, which `SignalRam::fork_install` swaps in at the
+//!    preserved playback position. The engine reads a candidate's length
+//!    and first strike from its [`AttackScheme`] fields; nothing is
+//!    compiled to bits, and a fork's RAM holds the sentinel's one phase.
 //!
 //! 2. **Post-strike rejoin.** The PDN is linear, a disabled striker draws
 //!    exactly 0.0 A, and the warm-started Gauss–Seidel relaxation is
@@ -54,13 +56,14 @@ use pdn::thermal::ThermalModel;
 use crate::cosim::{CloudFpga, InferenceRun, RunRecorder};
 use crate::error::Result;
 use crate::scheduler::AttackScheduler;
-use crate::signal_ram::AttackScheme;
+use crate::signal_ram::{AttackScheme, SchemeProgram, CAPACITY_BITS};
 use crate::striker::StrikerBank;
-use crate::tdc::TdcSensor;
+use crate::tdc::{TdcSensor, SAMPLES_PER_CYCLE};
 
 // Snapshot cadence: ~100 forks and ~1600 checks on the 50k-cycle LeNet
-// schedule. A fork costs a full platform clone (~100 KiB), a check only
-// the mesh state, and a finer check grid shortens every suffix.
+// schedule. A fork costs a full platform clone (a few KiB, mostly the
+// mesh), a check only the mesh state, and a finer check grid shortens
+// every suffix.
 
 /// Full platform snapshot every this many cycles (the fork ladder).
 const FORK_EVERY: u64 = 512;
@@ -121,7 +124,6 @@ pub struct SnapshotEngine {
     /// Pristine platform for naive-replay fallbacks.
     base: CloudFpga,
     total: u64,
-    samples_per_cycle: usize,
     trigger: Option<u64>,
     reference: InferenceRun,
     /// Reference per-cycle thermal power, replayed after a rejoin.
@@ -156,18 +158,16 @@ impl SnapshotEngine {
     ///
     /// # Errors
     ///
-    /// Propagates sentinel-scheme load/arm failures (none occur on a
-    /// platform whose signal RAM has non-zero capacity).
+    /// Propagates sentinel-scheme load/arm failures; none occur, since
+    /// the sentinel fills the RAM exactly.
     pub fn capture(base: &CloudFpga) -> Result<Self> {
         let mut sentinel_pass = base.clone();
-        // The sentinel: all delay, zero strikes. It compiles to an
-        // all-zero bit vector filling the whole RAM, so playback never
-        // exhausts mid-run (capacity >= any schedule we simulate) and the
-        // cursor tracks exactly how many bits a real candidate would have
-        // consumed by each cycle.
-        let capacity = sentinel_pass.scheduler_mut().ram().capacity_bits();
+        // The sentinel: all delay, zero strikes, as long as the RAM holds,
+        // so playback never exhausts mid-run (capacity >= any schedule we
+        // simulate) and the cursor tracks exactly how many bits a real
+        // candidate would have consumed by each cycle.
         let sentinel = AttackScheme {
-            delay_cycles: u32::try_from(capacity).unwrap_or(u32::MAX),
+            delay_cycles: CAPACITY_BITS as u32,
             strikes: 0,
             strike_cycles: 0,
             gap_cycles: 0,
@@ -177,8 +177,6 @@ impl SnapshotEngine {
         sentinel_pass.scheduler_mut().rearm();
 
         let total = sentinel_pass.schedule().total_cycles();
-        let substeps = sentinel_pass.config.pdn_substeps;
-        let samples_per_cycle = substeps / (substeps / 2).max(1);
         let mut rec = RunRecorder::new(total, true);
         let mut forks = Vec::with_capacity((total / FORK_EVERY + 1) as usize);
         let mut checks = Vec::with_capacity((total / CHECK_EVERY + 1) as usize);
@@ -205,11 +203,10 @@ impl SnapshotEngine {
         let powers = rec.powers.take().unwrap_or_default();
         let trigger = rec.triggered_cycle;
         let reference = sentinel_pass.finish_run(rec);
-        debug_assert_eq!(reference.tdc_trace.len(), total as usize * samples_per_cycle);
+        debug_assert_eq!(reference.tdc_trace.len(), total as usize * SAMPLES_PER_CYCLE);
         Ok(SnapshotEngine {
             base: base.clone(),
             total,
-            samples_per_cycle,
             trigger,
             reference,
             powers,
@@ -260,8 +257,8 @@ impl SnapshotEngine {
     /// # Errors
     ///
     /// Exactly the errors the naive path raises: `SchemeTooLarge` when
-    /// the compiled vector exceeds RAM capacity, `InvalidConfig` when the
-    /// scheme compiles to zero bits (arming without a loaded scheme).
+    /// the scheme exceeds RAM capacity, `InvalidConfig` when it is zero
+    /// bits long (arming without a loaded scheme).
     pub fn run_guided(&self, scheme: &AttackScheme) -> Result<InferenceRun> {
         self.run_guided_inner(scheme, None)
     }
@@ -290,8 +287,8 @@ impl SnapshotEngine {
             self.counters.full_replays.fetch_add(1, Ordering::Relaxed);
             return self.replay_guided(scheme);
         }
-        let bits = scheme.to_bits();
-        if bits.is_empty() || bits.len() > self.base.scheduler.ram().capacity_bits() {
+        let bits = scheme.total_bits();
+        if bits == 0 || bits > CAPACITY_BITS {
             // Replicate the naive load/arm error exactly.
             self.counters.full_replays.fetch_add(1, Ordering::Relaxed);
             return self.replay_guided(scheme);
@@ -299,12 +296,12 @@ impl SnapshotEngine {
         // No trigger in the reference pass means no candidate can trigger
         // either (identical physics until a strike, and no strike without
         // a trigger): the run is the reference run. Likewise a candidate
-        // whose first `1` bit never plays within the schedule.
+        // that never strikes, or whose first strike falls past the schedule.
         let Some(trigger) = self.trigger else {
             self.counters.reference_served.fetch_add(1, Ordering::Relaxed);
             return Ok(self.reference.clone());
         };
-        let Some(first_one) = bits.iter().position(|&b| b) else {
+        let Some(first_one) = scheme.first_strike() else {
             self.counters.reference_served.fetch_add(1, Ordering::Relaxed);
             return Ok(self.reference.clone());
         };
@@ -323,13 +320,13 @@ impl SnapshotEngine {
         self.counters.forked_runs.fetch_add(1, Ordering::Relaxed);
 
         let mut fpga = fork.fpga.clone();
-        // Swap the candidate's bit vector into the sentinel's RAM at the
+        // Swap the candidate's program into the sentinel's RAM at the
         // preserved playback position: bits consumed so far were all `0`
         // in both (the fork is at or before the first `1`), so the fork
         // state is exactly the candidate's naive state at this cycle.
         let started = fork.triggered.is_some();
         let cursor = fpga.scheduler.ram().cursor();
-        fpga.scheduler.ram_mut().fork_install(bits, cursor, started);
+        fpga.scheduler.ram_mut().fork_install(SchemeProgram::from(*scheme), cursor, started);
 
         let mut rec = RunRecorder::resume(fork.triggered, fork.last_raw);
         for cycle in fork.cycle..self.total {
@@ -397,7 +394,7 @@ impl SnapshotEngine {
         rec: RunRecorder,
         mut fpga: CloudFpga,
     ) -> InferenceRun {
-        let spc = self.samples_per_cycle;
+        let spc = SAMPLES_PER_CYCLE;
         let dt_cycle = fpga.substep_dt() * fpga.config.pdn_substeps as f64;
         // From the rejoin on, the candidate's per-cycle power is bitwise
         // the reference's; the thermal model is feed-forward, so replay.
@@ -413,7 +410,7 @@ impl SnapshotEngine {
 
     /// Builds the candidate's run from reference prefix + simulated suffix.
     fn assemble(&self, fork_cycle: u64, rec: RunRecorder, final_temp_c: f64) -> InferenceRun {
-        let spc = self.samples_per_cycle;
+        let spc = SAMPLES_PER_CYCLE;
         let mut tdc_trace = Vec::with_capacity(fork_cycle as usize * spc + rec.tdc_trace.len());
         tdc_trace.extend_from_slice(&self.reference.tdc_trace[..fork_cycle as usize * spc]);
         tdc_trace.extend_from_slice(&rec.tdc_trace);
@@ -565,8 +562,7 @@ mod tests {
         let net = mlp(&mut StdRng::seed_from_u64(0));
         let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper())
             .expect("mlp quantises");
-        let accel =
-            AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
+        let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
         let mut fpga = CloudFpga::new(&q, &accel, striker_cells, CosimConfig { pdn_substeps: 4 })
             .expect("platform assembles");
         fpga.settle(50);

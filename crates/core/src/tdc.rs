@@ -12,6 +12,7 @@
 //! calibrated so the readout is ≈ 90 at nominal voltage
 //! ([`TARGET_COUNT`]).
 
+use accel::schedule::CLOCK_MHZ;
 use fpga_fabric::clock::{ClockSpec, Mmcm};
 use fpga_fabric::netlist::Netlist;
 use fpga_fabric::primitive::{Carry4, PrimitiveKind};
@@ -21,6 +22,8 @@ use crate::error::{DeepStrikeError, Result};
 
 /// Driving and sampling clock frequency `F_dr` in MHz.
 const F_DR_MHZ: f64 = 200.0;
+/// TDC samples per victim cycle: `F_dr` over the accelerator clock.
+pub const SAMPLES_PER_CYCLE: usize = (F_DR_MHZ / CLOCK_MHZ) as usize;
 /// LUT delay-line length `L_LUT`.
 const L_LUT: usize = 4;
 /// Carry-chain length `L_CARRY` (= capture register count).
@@ -29,8 +32,6 @@ const L_CARRY: usize = 128;
 /// is this many `1`s. The start detector's taps and the profiler's idle
 /// level are both placed against it.
 pub const TARGET_COUNT: u8 = 90;
-/// Board reference clock feeding the MMCM, in MHz.
-const REF_CLOCK_MHZ: f64 = 100.0;
 /// Measurement dither amplitude in carry stages (models launch/sample
 /// clock jitter).
 const DITHER_STAGES: f64 = 0.8;
@@ -71,7 +72,8 @@ pub struct TdcSensor {
 impl TdcSensor {
     /// Builds a sensor with an explicit phase offset θ (degrees).
     fn with_theta(theta_deg: f64) -> Result<Self> {
-        let mmcm = Mmcm::lock_default(REF_CLOCK_MHZ)?;
+        // The board's reference clock, which also clocks the victim.
+        let mmcm = Mmcm::lock_default(CLOCK_MHZ)?;
         let (launch, sample_clock) = mmcm.derive_pair(F_DR_MHZ, theta_deg)?;
         Ok(TdcSensor {
             launch,

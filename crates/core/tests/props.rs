@@ -164,7 +164,7 @@ proptest! {
         let tenants = vec![
             TenantDesign::new(
                 "victim",
-                victim_netlist(&AccelConfig::default(), 32),
+                victim_netlist(32),
                 victim_region,
             ),
             TenantDesign::new("attacker", netlist, attacker_region),
@@ -201,7 +201,7 @@ proptest! {
         let tenants = vec![
             TenantDesign::new(
                 "victim",
-                victim_netlist(&AccelConfig::default(), 32),
+                victim_netlist(32),
                 victim_region,
             ),
             TenantDesign::new("attacker", netlist, attacker_region),
@@ -245,8 +245,7 @@ fn snapshot_rig() -> &'static (CloudFpga, SnapshotEngine) {
         net.push(Box::new(Dense::new("fc2", 16, 10, &mut rng)));
         let q = QuantizedNetwork::from_sequential(&net, &[1, 6, 6], QFormat::paper())
             .expect("victim quantises");
-        let accel =
-            AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
+        let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
         let mut fpga = CloudFpga::new(&q, &accel, 16_000, CosimConfig { pdn_substeps: 4 })
             .expect("platform assembles");
         fpga.settle(30);

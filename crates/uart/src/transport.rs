@@ -380,11 +380,9 @@ impl TransportShell {
             },
             Ok(Command::Status) => Response::Status(handler.status()),
             Ok(Command::UploadBegin { total_len, crc }) => {
-                self.staging = Some(Staging {
-                    total: total_len,
-                    crc,
-                    buf: Vec::with_capacity(total_len as usize),
-                });
+                // Staging grows with accepted chunks only: the declared
+                // length comes from the remote side and reserves nothing.
+                self.staging = Some(Staging { total: total_len, crc, buf: Vec::new() });
                 Response::Upload { received: 0, total: total_len }
             }
             Ok(Command::UploadChunk { offset, data }) => match &mut self.staging {
@@ -725,6 +723,31 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, UartError::Remote(ERR_UPLOAD_CRC));
         assert_eq!(fpga.scheme_loads, 0, "a bad CRC never reaches the handler");
+    }
+
+    #[test]
+    fn declared_upload_length_reserves_nothing_up_front() {
+        let (mut client, mut shell, mut fpga) = clean_rig();
+        let r = client
+            .transact(&Command::UploadBegin { total_len: u32::MAX, crc: 0 }, || {
+                shell.poll(&mut fpga);
+            })
+            .unwrap();
+        assert_eq!(r, Response::Upload { received: 0, total: u32::MAX });
+        let r = client
+            .transact(&Command::UploadChunk { offset: 0, data: vec![9; 8] }, || {
+                shell.poll(&mut fpga);
+            })
+            .unwrap();
+        assert!(matches!(r, Response::Upload { received: 8, .. }), "{r:?}");
+        assert_eq!(shell.staged_bytes(), Some(8));
+        let err = client
+            .transact(&Command::UploadCommit, || {
+                shell.poll(&mut fpga);
+            })
+            .unwrap_err();
+        assert_eq!(err, UartError::Remote(ERR_UPLOAD_CRC));
+        assert_eq!(fpga.scheme_loads, 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::zynq_7020();
     let striker = StrikerBank::new(8_000)?;
     let tdc = TdcSensor::calibrated()?;
-    let deployment = deploy(&device, &AccelConfig::default(), &striker, &tdc)?;
+    let deployment = deploy(&device, &striker, &tdc)?;
     println!(
         "two-tenant image accepted; striker uses {:.2}% of slices; tenant distance {:.2}",
         device.utilization(&striker.resource_usage()).slice_pct,

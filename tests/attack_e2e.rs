@@ -21,7 +21,7 @@ fn small_victim(seed: u64) -> QuantizedNetwork {
 }
 
 fn fast_platform(victim: &QuantizedNetwork, cells: usize) -> CloudFpga {
-    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
+    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
     let mut fpga = CloudFpga::new(victim, &accel, cells, CosimConfig { pdn_substeps: 4 }).unwrap();
     fpga.settle(50);
     fpga

@@ -22,7 +22,7 @@ fn platform(cells: usize) -> CloudFpga {
     let victim = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
     let mut fpga = CloudFpga::new(
         &victim,
-        &AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() },
+        &AccelConfig { weight_bandwidth: 16, stall_cycles: 150 },
         cells,
         CosimConfig { pdn_substeps: 4 },
     )
@@ -63,10 +63,8 @@ fn strict_provider_policy_blocks_the_whole_attack() {
     let striker = StrikerBank::new(8_000).unwrap();
     let tdc = TdcSensor::calibrated().unwrap();
     // Standard provider: attack deploys.
-    deploy(&device, &AccelConfig::default(), &striker, &tdc).unwrap();
+    deploy(&device, &striker, &tdc).unwrap();
     // Hardened provider: the latch-loop scan rejects the tenant.
-    let err =
-        deploy_with_policy(&device, &AccelConfig::default(), &striker, &tdc, DrcPolicy::strict())
-            .unwrap_err();
+    let err = deploy_with_policy(&device, &striker, &tdc, DrcPolicy::strict()).unwrap_err();
     assert!(matches!(err, DeepStrikeError::Fabric(FabricError::DrcRejected { .. })));
 }

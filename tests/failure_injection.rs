@@ -6,7 +6,7 @@ use accel::schedule::AccelConfig;
 use bench::golden::{accel_config, cosim_config, golden_images, tiny_dense_victim};
 use deepstrike::cosim::{CloudFpga, CosimConfig};
 use deepstrike::remote::{RemoteCampaign, RemoteConfig, RemotePhase, SimHost};
-use deepstrike::signal_ram::{AttackScheme, SignalRam, BRAM36_BITS};
+use deepstrike::signal_ram::{AttackScheme, SignalRam, CAPACITY_BITS};
 use deepstrike::DeepStrikeError;
 use dnn::fixed::QFormat;
 use dnn::quant::{QuantError, QuantizedNetwork};
@@ -31,7 +31,7 @@ fn small_victim() -> QuantizedNetwork {
 fn fast_platform() -> CloudFpga {
     let mut fpga = CloudFpga::new(
         &small_victim(),
-        &AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() },
+        &AccelConfig { weight_bandwidth: 16, stall_cycles: 150 },
         8_000,
         CosimConfig { pdn_substeps: 4 },
     )
@@ -81,14 +81,14 @@ fn dead_fpga_times_out_cleanly() {
 #[test]
 fn oversized_scheme_rejected_locally_and_remotely() {
     // Locally: the signal RAM refuses to load it.
-    let mut ram = SignalRam::new(1).unwrap();
+    let mut ram = SignalRam::new();
     let huge = AttackScheme {
-        delay_cycles: BRAM36_BITS as u32,
+        delay_cycles: CAPACITY_BITS as u32,
         strikes: 10,
         strike_cycles: 1,
         gap_cycles: 0,
     };
-    assert!(matches!(ram.load(&huge), Err(DeepStrikeError::SchemeTooLarge { .. })));
+    assert!(matches!(ram.load(huge.into()), Err(DeepStrikeError::SchemeTooLarge { .. })));
 
     // Remotely: the shell answers with an application error code.
     let mut fpga = fast_platform();
@@ -96,7 +96,7 @@ fn oversized_scheme_rejected_locally_and_remotely() {
     let mut client = TransportClient::new(a);
     let mut shell = TransportShell::new(b);
     let giant = AttackScheme {
-        delay_cycles: 3 * BRAM36_BITS as u32,
+        delay_cycles: CAPACITY_BITS as u32,
         strikes: 1,
         strike_cycles: 1,
         gap_cycles: 0,

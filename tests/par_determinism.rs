@@ -25,7 +25,7 @@ fn accuracy_series_is_identical_at_any_thread_count() {
     let mut images_rng = StdRng::seed_from_u64(9);
     let images = Dataset::generate(24, &RenderParams::default(), &mut images_rng);
 
-    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150, ..AccelConfig::default() };
+    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
     let mut fpga = CloudFpga::new(&q, &accel, 10_000, CosimConfig { pdn_substeps: 4 }).unwrap();
     fpga.settle(50);
     let profile = profile_victim(&mut fpga, &["fc1", "fc2", "fc3"], 1).unwrap();

@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and codecs.
 
-use deepstrike::signal_ram::{AttackScheme, SignalRam};
+use deepstrike::signal_ram::{AttackScheme, SchemeProgram, SignalRam, CAPACITY_BITS};
 use dnn::fixed::QFormat;
 use dnn::tensor::Tensor;
 use fpga_fabric::drc;
@@ -117,20 +117,69 @@ proptest! {
         prop_assert_eq!(AttackScheme::from_bytes(&s.to_bytes()).unwrap(), s);
     }
 
-    /// Signal-RAM playback reproduces the compiled bits exactly once.
+    /// Signal-RAM playback of a 1–3 phase program reproduces the phases'
+    /// concatenated compiled bits exactly once.
     #[test]
     fn signal_ram_playback_matches_bits(
-        delay in 0u32..50,
-        strikes in 1u32..20,
-        gap in 0u32..5,
+        phases in prop::collection::vec((0u32..50, 0u32..20, 0u32..4, 0u32..5), 1..=3),
     ) {
-        let s = AttackScheme { delay_cycles: delay, strikes, strike_cycles: 1, gap_cycles: gap };
-        let mut ram = SignalRam::new(1).unwrap();
-        ram.load(&s).unwrap();
+        let phases: Vec<AttackScheme> = phases
+            .into_iter()
+            .map(|(delay_cycles, strikes, strike_cycles, gap_cycles)| AttackScheme {
+                delay_cycles,
+                strikes,
+                strike_cycles,
+                gap_cycles,
+            })
+            .collect();
+        let reference: Vec<bool> = phases.iter().flat_map(AttackScheme::to_bits).collect();
+        let program = SchemeProgram::new(phases);
+        prop_assert_eq!(program.total_bits(), reference.len());
+        let mut ram = SignalRam::new();
+        ram.load(program).unwrap();
         ram.start();
-        let played: Vec<bool> = (0..s.total_bits()).map(|_| ram.next_bit()).collect();
-        prop_assert_eq!(played, s.to_bits());
-        prop_assert!(!ram.next_bit(), "exhausted playback stays low");
+        let played: Vec<bool> = reference.iter().map(|_| ram.next_bit()).collect();
+        prop_assert_eq!(played, reference);
+        prop_assert!(!ram.is_running() && !ram.next_bit(), "exhausted playback stays low");
+    }
+
+    /// Any 16-byte scheme upload either loads or is refused as too large,
+    /// and a loaded one plays its compiled bits without panicking. Each
+    /// little-endian field keeps all its bits, its low byte or its low
+    /// nibble (two bits of `shrink` each), so both outcomes occur.
+    #[test]
+    fn any_scheme_upload_loads_or_is_refused(
+        bytes in prop::collection::vec(any::<u8>(), 16),
+        shrink in any::<u8>(),
+    ) {
+        let mut bytes = bytes;
+        for field in 0..4 {
+            let level = (shrink >> (2 * field)) & 3;
+            if level > 0 {
+                bytes[4 * field + 1..4 * field + 4].fill(0);
+            }
+            if level > 1 {
+                bytes[4 * field] &= 0x0F;
+            }
+        }
+        let s = AttackScheme::from_bytes(&bytes).unwrap();
+        let exact = u128::from(s.delay_cycles)
+            + u128::from(s.strikes) * (u128::from(s.strike_cycles) + u128::from(s.gap_cycles));
+        let mut ram = SignalRam::new();
+        match ram.load(s.into()) {
+            Ok(()) => {
+                prop_assert!(exact <= CAPACITY_BITS as u128);
+                ram.start();
+                let played: Vec<bool> = (0..=exact).map(|_| ram.next_bit()).collect();
+                let mut reference = s.to_bits();
+                reference.push(false);
+                prop_assert_eq!(played, reference);
+            }
+            Err(e) => prop_assert!(
+                exact > CAPACITY_BITS as u128,
+                "{s:?} ({exact} bits) refused: {e}"
+            ),
+        }
     }
 
     /// The delay law is monotone in voltage.
