@@ -31,7 +31,7 @@ fn bench_pdn(c: &mut Criterion) {
     c.bench_function("pdn/spatial_step_160_nodes", |b| {
         let mut grid = SpatialPdn::new();
         let node = grid.node_at_fraction(0.2, 0.5);
-        grid.inject(node, 1.0).unwrap();
+        grid.inject(node, 1.0);
         b.iter(|| black_box(grid.step(1e-9)));
     });
     // Re-excited mesh: the injection changes every step, so every sweep
@@ -42,7 +42,7 @@ fn bench_pdn(c: &mut Criterion) {
         let mut amps = 1.0;
         b.iter(|| {
             amps = if amps > 1.5 { 1.0 } else { amps + 0.01 };
-            grid.inject(node, amps).unwrap();
+            grid.inject(node, amps);
             black_box(grid.step(1e-9))
         });
     });

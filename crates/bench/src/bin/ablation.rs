@@ -24,19 +24,19 @@ fn strike_droop(cells: usize, on_cycles: usize, attacker_fx: f64) -> (f64, f64) 
     let mut grid = SpatialPdn::new();
     let victim = grid.node_at_fraction(0.12, 0.5);
     let attacker = grid.node_at_fraction(attacker_fx, 0.5);
-    grid.inject(victim, 1.0).expect("victim node");
+    grid.inject(victim, 1.0);
     for _ in 0..5_000 {
         grid.step(1e-9);
     }
     let mut bank = StrikerBank::new(cells).expect("cells > 0");
     bank.set_enabled(true);
-    let mut v_min = grid.voltage_at(victim).expect("victim node");
+    let mut v_min = grid.voltage_at(victim);
     let mut energy_j = 0.0;
     for _ in 0..on_cycles * 10 {
-        let va = grid.voltage_at(attacker).expect("attacker node");
-        grid.inject(attacker, bank.current_a(va)).expect("attacker node");
+        let va = grid.voltage_at(attacker);
+        grid.inject(attacker, bank.current_a(va));
         grid.step(1e-9);
-        v_min = v_min.min(grid.voltage_at(victim).expect("victim node"));
+        v_min = v_min.min(grid.voltage_at(victim));
         energy_j += bank.power_w(va) * 1e-9;
     }
     (v_min, energy_j)

@@ -22,7 +22,7 @@ fn run_scenario(bystander: Option<Bystander>) -> (f64, f64, usize) {
         CloudFpga::new(&q, &AccelConfig::default(), STRIKER_CELLS, CosimConfig::default())
             .expect("platform assembles");
     if let Some(b) = bystander {
-        fpga.add_bystander(b);
+        fpga.add_bystander(b).expect("bystander draw and placement are valid");
     }
     fpga.settle(200);
     // Two profiling traces: one naive run plus the engine's reference

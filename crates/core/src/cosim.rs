@@ -110,7 +110,9 @@ pub struct CloudFpga {
     pub(crate) striker: StrikerBank,
     pub(crate) scheduler: AttackScheduler,
     pub(crate) thermal: ThermalModel,
-    pub(crate) bystanders: Vec<Bystander>,
+    /// Background tenants with the mesh node each draws at, resolved
+    /// once when the tenant is added.
+    pub(crate) bystanders: Vec<(Bystander, NodeId)>,
     pub(crate) trace_buf: VecDeque<u8>,
 }
 
@@ -187,16 +189,31 @@ impl CloudFpga {
         &self.striker
     }
 
-    /// Adds a background tenant (multi-tenant extension).
-    pub fn add_bystander(&mut self, bystander: Bystander) {
-        self.bystanders.push(bystander);
+    /// Adds a background tenant (multi-tenant extension) at the mesh node
+    /// nearest its placement.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeepStrikeError::InvalidConfig`] unless `amps` is finite
+    /// and non-negative and both `pos` coordinates are finite.
+    pub fn add_bystander(&mut self, bystander: Bystander) -> Result<()> {
+        let Bystander { pos: (fx, fy), amps, .. } = bystander;
+        if !(amps.is_finite() && amps >= 0.0 && fx.is_finite() && fy.is_finite()) {
+            return Err(DeepStrikeError::InvalidConfig(format!(
+                "bystander at ({fx}, {fy}) drawing {amps} A: the draw must be finite and \
+                 non-negative and the placement finite"
+            )));
+        }
+        let node = self.pdn.node_at_fraction(fx, fy);
+        self.bystanders.push((bystander, node));
+        Ok(())
     }
 
     /// Lets the PDN settle at idle load for `cycles` victim cycles.
     pub fn settle(&mut self, cycles: u64) {
         let dt = self.substep_dt();
         for _ in 0..cycles {
-            self.pdn.inject(self.victim_node, power::IDLE_A).expect("victim node is on the mesh");
+            self.pdn.inject(self.victim_node, power::IDLE_A);
             for _ in 0..self.config.pdn_substeps {
                 self.pdn.step(dt);
             }
@@ -247,30 +264,23 @@ impl CloudFpga {
             rec.strike_cycles.push(cycle);
         }
         // Inject all loads at their mesh nodes.
-        self.pdn.inject(self.victim_node, i_victim).expect("victim node is on the mesh");
-        let v_att_now =
-            self.pdn.voltage_at(self.attacker_node).expect("attacker node is on the mesh");
+        self.pdn.inject(self.victim_node, i_victim);
+        let v_att_now = self.pdn.voltage_at(self.attacker_node);
         self.striker.set_enabled(enable);
         let i_striker = self.striker.current_a(v_att_now);
-        self.pdn.inject(self.attacker_node, i_striker).expect("attacker node is on the mesh");
-        for b in &self.bystanders {
+        self.pdn.inject(self.attacker_node, i_striker);
+        for &(b, node) in &self.bystanders {
             let on = (cycle / (b.period_cycles / 2).max(1)).is_multiple_of(2);
-            let node = self.pdn.node_at_fraction(b.pos.0, b.pos.1);
-            self.pdn
-                .inject(node, if on { b.amps } else { 0.0 })
-                .expect("bystander node is on the mesh");
+            self.pdn.inject(node, if on { b.amps } else { 0.0 });
         }
 
         // Advance the mesh; sample TDC mid-cycle and at cycle end.
         let mut v_victim_min = f64::INFINITY;
         for s in 0..substeps {
             self.pdn.step(dt);
-            let vv = self.pdn.voltage_at(self.victim_node).expect("victim node is on the mesh");
-            v_victim_min = v_victim_min.min(vv);
+            v_victim_min = v_victim_min.min(self.pdn.voltage_at(self.victim_node));
             if (s + 1) % tdc_every == 0 {
-                let va =
-                    self.pdn.voltage_at(self.attacker_node).expect("attacker node is on the mesh");
-                let reading = self.tdc.sample(va);
+                let reading = self.tdc.sample(self.pdn.voltage_at(self.attacker_node));
                 rec.tdc_trace.push(reading.count);
                 self.buffer_readout(reading.count);
                 rec.last_raw = Some(reading.raw);
@@ -279,7 +289,7 @@ impl CloudFpga {
         rec.victim_voltage.push(v_victim_min);
 
         // Thermal integration (victim + striker dissipation).
-        let v_now = self.pdn.voltage_at(self.victim_node).expect("victim node is on the mesh");
+        let v_now = self.pdn.voltage_at(self.victim_node);
         let power = i_victim * v_now + self.striker.power_w(v_now);
         self.thermal.step(power, dt * substeps as f64);
         if let Some(powers) = rec.powers.as_mut() {
@@ -585,10 +595,36 @@ mod tests {
         let mut quiet = small_platform(8_000);
         let quiet_run = quiet.run_inference();
         let mut busy = small_platform(8_000);
-        busy.add_bystander(Bystander { pos: (0.5, 0.2), amps: 1.0, period_cycles: 64 });
+        busy.add_bystander(Bystander { pos: (0.5, 0.2), amps: 1.0, period_cycles: 64 }).unwrap();
         let busy_run = busy.run_inference();
         let mean =
             |r: &InferenceRun| r.victim_voltage.iter().sum::<f64>() / r.victim_voltage.len() as f64;
         assert!(mean(&busy_run) < mean(&quiet_run), "third tenant must add droop");
+    }
+
+    #[test]
+    fn bystander_input_is_checked_where_it_enters() {
+        let mut fpga = small_platform(8_000);
+        let before = fpga.clone();
+        let tenant = |pos, amps| Bystander { pos, amps, period_cycles: 64 };
+        for bad in [
+            tenant((0.5, 0.2), f64::NAN),
+            tenant((0.5, 0.2), f64::INFINITY),
+            tenant((0.5, 0.2), -1.0),
+            tenant((f64::NAN, 0.2), 1.0),
+            tenant((0.5, f64::NEG_INFINITY), 1.0),
+        ] {
+            match fpga.add_bystander(bad) {
+                Err(DeepStrikeError::InvalidConfig(_)) => {}
+                other => panic!("{bad:?} must be refused, got {other:?}"),
+            }
+        }
+        assert!(fpga.state_eq(&before), "a refused tenant leaves the platform unchanged");
+        // Off-die placements clamp to the edge and a zero draw is a valid
+        // (idle) tenant; the run then completes.
+        fpga.add_bystander(tenant((-3.0, 7.0), 0.0)).unwrap();
+        fpga.add_bystander(tenant((0.5, 0.2), 1.0)).unwrap();
+        let run = fpga.run_inference();
+        assert_eq!(run.victim_voltage.len() as u64, fpga.schedule().total_cycles());
     }
 }

@@ -2,7 +2,6 @@ use std::error::Error;
 use std::fmt;
 
 use fpga_fabric::FabricError;
-use pdn::PdnError;
 use uart::UartError;
 
 /// Errors raised by the attack stack.
@@ -11,8 +10,6 @@ use uart::UartError;
 pub enum DeepStrikeError {
     /// Fabric-model failure (clocking, DRC, placement).
     Fabric(FabricError),
-    /// PDN-model failure.
-    Pdn(PdnError),
     /// A component was configured with impossible parameters.
     InvalidConfig(String),
     /// TDC calibration could not reach its target readout.
@@ -50,7 +47,6 @@ impl fmt::Display for DeepStrikeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeepStrikeError::Fabric(e) => write!(f, "fabric: {e}"),
-            DeepStrikeError::Pdn(e) => write!(f, "pdn: {e}"),
             DeepStrikeError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             DeepStrikeError::Calibration(msg) => write!(f, "calibration failed: {msg}"),
             DeepStrikeError::SchemeTooLarge { bits, capacity } => {
@@ -80,7 +76,6 @@ impl Error for DeepStrikeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             DeepStrikeError::Fabric(e) => Some(e),
-            DeepStrikeError::Pdn(e) => Some(e),
             DeepStrikeError::Link(e) => Some(e),
             _ => None,
         }
@@ -91,13 +86,6 @@ impl Error for DeepStrikeError {
 impl From<FabricError> for DeepStrikeError {
     fn from(e: FabricError) -> Self {
         DeepStrikeError::Fabric(e)
-    }
-}
-
-#[doc(hidden)]
-impl From<PdnError> for DeepStrikeError {
-    fn from(e: PdnError) -> Self {
-        DeepStrikeError::Pdn(e)
     }
 }
 

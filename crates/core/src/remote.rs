@@ -440,7 +440,9 @@ impl RemoteCampaign {
         let profile_outages = r.take_u32().ok_or_else(|| corrupt("missing outage count"))?;
         let has_profile = r.take_bool().ok_or_else(|| corrupt("missing profile flag"))?;
         let n_traces = r.take_u32().ok_or_else(|| corrupt("missing trace count"))?;
-        let mut traces = Vec::with_capacity(n_traces as usize);
+        // Grown as traces decode, rather than reserving what a corrupt
+        // count claims.
+        let mut traces = Vec::new();
         for _ in 0..n_traces {
             traces.push(r.take_bytes().ok_or_else(|| corrupt("truncated trace"))?.to_vec());
         }
@@ -1043,6 +1045,22 @@ mod tests {
                     .is_err(),
                 "truncation at {cut} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn corrupt_trace_count_is_a_typed_error() {
+        let config = RemoteConfig::new(&["fc1", "fc2"], "fc1", 6);
+        let mut campaign = RemoteCampaign::new(config.clone());
+        campaign.traces = vec![vec![1, 2, 3], vec![4, 5]];
+        let mut bytes = campaign.encode();
+        // Version, fingerprint, phase, guidance, outages and the profile
+        // flag take bytes 0..12; the trace count follows.
+        assert_eq!(bytes[12..16], 2u32.to_le_bytes());
+        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        match RemoteCampaign::decode(config, &bytes) {
+            Err(DeepStrikeError::Checkpoint(msg)) => assert!(msg.contains("truncated trace")),
+            other => panic!("a u32::MAX trace count must be refused, got {other:?}"),
         }
     }
 }

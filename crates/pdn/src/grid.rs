@@ -17,8 +17,11 @@
 //!
 //! The mesh is the one modelled board's: 16×10 nodes, 5 S from each node
 //! to the rail and 125 S between neighbours, fixed as private constants.
+//! Geometry and node addressing live in this module alone: the node state
+//! is two `[f64; NODES]` arrays, and a [`NodeId`] is made only by
+//! [`SpatialPdn::node_at_fraction`], so every `NodeId` is on the mesh and
+//! [`SpatialPdn::inject`] and [`SpatialPdn::voltage_at`] cannot fail.
 
-use crate::error::{PdnError, Result};
 use crate::rlc::LumpedPdn;
 
 /// Mesh nodes in x.
@@ -67,65 +70,44 @@ const fn stencil_denominators() -> [f64; NODES] {
     g_sum
 }
 
-/// A node coordinate on the mesh.
+/// A mesh node. Only [`SpatialPdn::node_at_fraction`] makes one, so every
+/// `NodeId` addresses a node of the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeId {
-    /// Column.
-    pub x: usize,
-    /// Row.
-    pub y: usize,
-}
+pub struct NodeId(usize);
 
 /// Spatial PDN: lumped transient backbone + resistive mesh.
 ///
 /// # Example
 ///
 /// ```
-/// use pdn::grid::{NodeId, SpatialPdn};
+/// use pdn::grid::SpatialPdn;
 ///
 /// let mut g = SpatialPdn::new();
-/// let attacker = NodeId { x: 1, y: 1 };
-/// let victim = NodeId { x: 14, y: 8 };
-/// g.inject(attacker, 6.0)?;
+/// let attacker = g.node_at_fraction(0.1, 0.1);
+/// let victim = g.node_at_fraction(0.9, 0.9);
+/// g.inject(attacker, 6.0);
 /// for _ in 0..20 { g.step(1e-9); }
-/// assert!(g.voltage_at(attacker)? < g.voltage_at(victim)?);
-/// # Ok::<(), pdn::PdnError>(())
+/// assert!(g.voltage_at(attacker) < g.voltage_at(victim));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpatialPdn {
     lumped: LumpedPdn,
     /// Local deviation below the die rail, per node.
-    delta: Vec<f64>,
-    i_inj: Vec<f64>,
+    delta: [f64; NODES],
+    i_inj: [f64; NODES],
 }
 
 impl SpatialPdn {
     /// Creates a mesh at the unloaded operating point.
     pub fn new() -> Self {
-        SpatialPdn { lumped: LumpedPdn::new(), delta: vec![0.0; NODES], i_inj: vec![0.0; NODES] }
+        SpatialPdn { lumped: LumpedPdn::new(), delta: [0.0; NODES], i_inj: [0.0; NODES] }
     }
 
-    fn index(&self, node: NodeId) -> Result<usize> {
-        if node.x >= NX || node.y >= NY {
-            return Err(PdnError::OutOfRange(format!("node ({}, {})", node.x, node.y)));
-        }
-        Ok(node.y * NX + node.x)
-    }
-
-    /// Sets the current drawn at `node` (amps); replaces any previous value
-    /// for that node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::OutOfRange`] for coordinates off the mesh and
-    /// [`PdnError::InvalidParameter`] for negative or non-finite current.
-    pub fn inject(&mut self, node: NodeId, amps: f64) -> Result<()> {
-        if !(amps.is_finite() && amps >= 0.0) {
-            return Err(PdnError::InvalidParameter { name: "amps", value: amps });
-        }
-        let i = self.index(node)?;
-        self.i_inj[i] = amps;
-        Ok(())
+    /// Sets the current drawn at `node` (amps, finite and non-negative);
+    /// replaces any previous value for that node.
+    pub fn inject(&mut self, node: NodeId, amps: f64) {
+        debug_assert!(amps.is_finite() && amps >= 0.0, "injected current {amps} A");
+        self.i_inj[node.0] = amps;
     }
 
     /// Total injected current in amps.
@@ -145,43 +127,26 @@ impl SpatialPdn {
     /// Gauss–Seidel relaxation of the local deviation field `δ` around the
     /// injected currents (`δ = 0` where nothing is drawn).
     ///
-    /// Optimised form of the original 8-branch-per-node sweep: the
-    /// denominator comes from the precomputed `G_SUM` stencil, interior
-    /// nodes run a branch-free inner loop, and the sweep loop exits as
-    /// soon as one full sweep leaves every node bit-unchanged (a
-    /// Gauss–Seidel sweep is a deterministic map, so once it is the
-    /// identity every remaining sweep would be too — results are exactly
-    /// those of always running `SWEEPS` sweeps). Warm-started steady
-    /// states therefore pay for one sweep.
+    /// One loop visits every node in row-major order. A missing neighbour
+    /// contributes `+0.0` to the flow, still summed in left/right/up/down
+    /// order, and the denominator comes from the precomputed `G_SUM`
+    /// stencil. The sweep loop exits as soon as one full sweep leaves
+    /// every node bit-unchanged (a Gauss–Seidel sweep is a deterministic
+    /// map, so once it is the identity every remaining sweep would be
+    /// too — results are exactly those of always running `SWEEPS`
+    /// sweeps). Warm-started steady states therefore pay for one sweep.
     fn relax(&mut self) {
-        debug_assert_eq!(self.delta.len(), NODES);
         for _ in 0..SWEEPS {
             let mut changed = false;
-            for y in 0..NY {
-                let row = y * NX;
-                let up = y > 0;
-                let down = y + 1 < NY;
-                self.relax_node(row, false, true, up, down, &mut changed);
-                if up && down {
-                    // Interior rows: all four neighbours exist —
-                    // branch-free flow accumulation in the same
-                    // left/right/up/down order as the general case.
-                    for x in 1..NX - 1 {
-                        let i = row + x;
-                        let flow = G_MESH * self.delta[i - 1]
-                            + G_MESH * self.delta[i + 1]
-                            + G_MESH * self.delta[i - NX]
-                            + G_MESH * self.delta[i + NX];
-                        let v = (flow - self.i_inj[i]) / G_SUM[i];
-                        changed |= v.to_bits() != self.delta[i].to_bits();
-                        self.delta[i] = v;
-                    }
-                } else {
-                    for x in 1..NX - 1 {
-                        self.relax_node(row + x, true, true, up, down, &mut changed);
-                    }
-                }
-                self.relax_node(row + NX - 1, true, false, up, down, &mut changed);
+            for (i, g_sum) in G_SUM.iter().enumerate() {
+                let (x, y) = (i % NX, i / NX);
+                let left = if x > 0 { G_MESH * self.delta[i - 1] } else { 0.0 };
+                let right = if x + 1 < NX { G_MESH * self.delta[i + 1] } else { 0.0 };
+                let up = if y > 0 { G_MESH * self.delta[i - NX] } else { 0.0 };
+                let down = if y + 1 < NY { G_MESH * self.delta[i + NX] } else { 0.0 };
+                let v = (left + right + up + down - self.i_inj[i]) / g_sum;
+                changed |= v.to_bits() != self.delta[i].to_bits();
+                self.delta[i] = v;
             }
             if !changed {
                 break;
@@ -189,50 +154,17 @@ impl SpatialPdn {
         }
     }
 
-    /// One Gauss–Seidel node update with explicit neighbour presence.
-    #[inline]
-    fn relax_node(
-        &mut self,
-        i: usize,
-        left: bool,
-        right: bool,
-        up: bool,
-        down: bool,
-        changed: &mut bool,
-    ) {
-        let mut flow = 0.0;
-        if left {
-            flow += G_MESH * self.delta[i - 1];
-        }
-        if right {
-            flow += G_MESH * self.delta[i + 1];
-        }
-        if up {
-            flow += G_MESH * self.delta[i - NX];
-        }
-        if down {
-            flow += G_MESH * self.delta[i + NX];
-        }
-        let v = (flow - self.i_inj[i]) / G_SUM[i];
-        *changed |= v.to_bits() != self.delta[i].to_bits();
-        self.delta[i] = v;
-    }
-
     /// Voltage at a mesh node in volts (`v_die + δ_node`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::OutOfRange`] for coordinates off the mesh.
-    pub fn voltage_at(&self, node: NodeId) -> Result<f64> {
-        Ok(self.lumped.voltage() + self.delta[self.index(node)?])
+    pub fn voltage_at(&self, node: NodeId) -> f64 {
+        self.lumped.voltage() + self.delta[node.0]
     }
 
-    /// Maps a normalised floorplan position (`0..=1` in both axes) to the
-    /// nearest mesh node.
+    /// Maps a normalised floorplan position (`0..=1` in both axes, clamped)
+    /// to the nearest mesh node.
     pub fn node_at_fraction(&self, fx: f64, fy: f64) -> NodeId {
         let x = ((fx.clamp(0.0, 1.0)) * (NX - 1) as f64).round() as usize;
         let y = ((fy.clamp(0.0, 1.0)) * (NY - 1) as f64).round() as usize;
-        NodeId { x, y }
+        NodeId(y * NX + x)
     }
 }
 
@@ -246,6 +178,12 @@ impl Default for SpatialPdn {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn node(x: usize, y: usize) -> NodeId {
+        assert!(x < NX && y < NY, "({x}, {y}) is off the mesh");
+        NodeId(y * NX + x)
+    }
 
     fn settled_grid() -> SpatialPdn {
         let mut g = SpatialPdn::new();
@@ -286,27 +224,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fast_relax_is_bit_identical_to_reference() {
-        // Transient, steady-state (early-exit) and post-load-change
-        // phases must all match the always-`SWEEPS` reference exactly.
-        let mut fast = SpatialPdn::new();
-        let mut reference = fast.clone();
-        let node = NodeId { x: 0, y: NY - 1 };
-        fast.inject(node, 2.5).unwrap();
-        reference.inject(node, 2.5).unwrap();
-        for step in 0..600 {
-            if step == 400 {
-                // Mid-run load change re-excites the field.
-                fast.inject(node, 0.0).unwrap();
-                reference.inject(node, 0.0).unwrap();
+    proptest! {
+        /// Transient, steady-state (early-exit) and post-load-change
+        /// phases all match the always-`SWEEPS` reference exactly, for
+        /// loads at random nodes (edges by chance, all four corners every
+        /// case) that switch on, change and switch off mid-run.
+        #[test]
+        fn fast_relax_is_bit_identical_to_reference(
+            corner_amps in prop::collection::vec(0.0f64..3.0, 4),
+            changes in prop::collection::vec(
+                ((0usize..NX, 0usize..NY), 0.0f64..6.0, any::<bool>(), 0usize..250),
+                1..12,
+            ),
+        ) {
+            let mut fast = SpatialPdn::new();
+            let mut reference = fast.clone();
+            for (&amps, (x, y)) in corner_amps.iter().zip([(0, 0), (NX - 1, 0), (0, NY - 1), (NX - 1, NY - 1)]) {
+                fast.inject(node(x, y), amps);
+                reference.inject(node(x, y), amps);
             }
-            fast.step(1e-9);
-            let v = reference.lumped.step(reference.total_load(), 1e-9);
-            reference_relax(&mut reference);
-            assert!(v.to_bits() == fast.lumped.voltage().to_bits());
-            for (i, (a, b)) in fast.delta.iter().zip(&reference.delta).enumerate() {
-                assert!(a.to_bits() == b.to_bits(), "step {step} node {i}: {a:e} vs {b:e}");
+            for step in 0..400 {
+                for &((x, y), amps, off, at) in &changes {
+                    if at == step {
+                        let amps = if off { 0.0 } else { amps };
+                        fast.inject(node(x, y), amps);
+                        reference.inject(node(x, y), amps);
+                    }
+                }
+                fast.step(1e-9);
+                let v = reference.lumped.step(reference.total_load(), 1e-9);
+                reference_relax(&mut reference);
+                prop_assert!(v.to_bits() == fast.lumped.voltage().to_bits());
+                for (i, (a, b)) in fast.delta.iter().zip(&reference.delta).enumerate() {
+                    prop_assert!(a.to_bits() == b.to_bits(), "step {step} node {i}: {a:e} vs {b:e}");
+                }
             }
         }
     }
@@ -316,7 +267,7 @@ mod tests {
         let g = settled_grid();
         for y in 0..NY {
             for x in 0..NX {
-                let v = g.voltage_at(NodeId { x, y }).unwrap();
+                let v = g.voltage_at(node(x, y));
                 assert!((v - 1.0).abs() < 1e-3, "node ({x},{y}) at {v}");
             }
         }
@@ -325,16 +276,16 @@ mod tests {
     #[test]
     fn local_injection_droops_near_more_than_far() {
         let mut g = settled_grid();
-        let near = NodeId { x: 1, y: 1 };
-        let mid = NodeId { x: 8, y: 5 };
-        let far = NodeId { x: 15, y: 9 };
-        g.inject(near, 6.0).unwrap();
+        let near = node(1, 1);
+        let mid = node(8, 5);
+        let far = node(15, 9);
+        g.inject(near, 6.0);
         for _ in 0..50 {
             g.step(1e-9);
         }
-        let vn = g.voltage_at(near).unwrap();
-        let vm = g.voltage_at(mid).unwrap();
-        let vf = g.voltage_at(far).unwrap();
+        let vn = g.voltage_at(near);
+        let vm = g.voltage_at(mid);
+        let vf = g.voltage_at(far);
         assert!(vn < vm && vm < vf, "monotone decay violated: {vn} {vm} {vf}");
         // Everyone shares the global droop.
         assert!(vf < 1.0 - 0.01, "far node must still see global droop: {vf}");
@@ -343,28 +294,27 @@ mod tests {
     #[test]
     fn injection_bookkeeping() {
         let mut g = SpatialPdn::new();
-        g.inject(NodeId { x: 0, y: 0 }, 1.0).unwrap();
-        g.inject(NodeId { x: 2, y: 3 }, 2.5).unwrap();
+        g.inject(node(0, 0), 1.0);
+        g.inject(node(2, 3), 2.5);
         assert!((g.total_load() - 3.5).abs() < 1e-12);
-        g.inject(NodeId { x: 0, y: 0 }, 0.25).unwrap();
+        g.inject(node(0, 0), 0.25);
         assert!((g.total_load() - 2.75).abs() < 1e-12, "inject replaces");
     }
 
     #[test]
-    fn bad_injections_rejected() {
-        let mut g = SpatialPdn::new();
-        assert!(g.inject(NodeId { x: 99, y: 0 }, 1.0).is_err());
-        assert!(g.inject(NodeId { x: 0, y: 0 }, -1.0).is_err());
-        assert!(g.inject(NodeId { x: 0, y: 0 }, f64::NAN).is_err());
-        assert!(g.voltage_at(NodeId { x: 0, y: 99 }).is_err());
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "injected current")]
+    fn negative_injection_trips_the_debug_precondition() {
+        SpatialPdn::new().inject(node(0, 0), -1.0);
     }
 
     #[test]
     fn fraction_mapping_hits_corners() {
         let g = SpatialPdn::new();
-        assert_eq!(g.node_at_fraction(0.0, 0.0), NodeId { x: 0, y: 0 });
-        assert_eq!(g.node_at_fraction(1.0, 1.0), NodeId { x: 15, y: 9 });
-        assert_eq!(g.node_at_fraction(-3.0, 7.0), NodeId { x: 0, y: 9 }, "clamped");
+        assert_eq!(g.node_at_fraction(0.0, 0.0), node(0, 0));
+        assert_eq!(g.node_at_fraction(1.0, 1.0), node(15, 9));
+        assert_eq!(g.node_at_fraction(-3.0, 7.0), node(0, 9), "clamped");
+        assert_eq!(g.node_at_fraction(f64::NAN, f64::INFINITY), node(0, 9), "non-finite");
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!   a damped recovery — exactly the glitch the power striker manufactures.
 //! * [`grid`] — a spatial RC mesh layered on top of the lumped model, so a
 //!   current transient injected in the attacker's region is seen attenuated
-//!   in the victim's region depending on floorplan distance.
+//!   in the victim's region depending on floorplan distance. Its 16×10
+//!   node state lives in fixed arrays relaxed by one Gauss–Seidel loop,
+//!   and a [`grid::NodeId`] comes only from
+//!   [`grid::SpatialPdn::node_at_fraction`], so injecting at a node and
+//!   reading it back cannot fail.
 //! * [`delay`] — the alpha-power voltage→delay law that converts droop into
 //!   timing-margin loss (and therefore DSP faults).
 //! * [`thermal`] — a first-order thermal RC model; sustained striker
@@ -23,7 +27,7 @@
 //! geometry, conductances and sweep count, the delay law's `V_NOM`,
 //! `V_TH`, `ALPHA` and `MAX_FACTOR`, and the thermal RC — is a named
 //! constant in the module that owns it, so the constructors take no
-//! parameters and cannot fail.
+//! parameters and cannot fail, and the crate has no error type.
 //!
 //! # Example
 //!
@@ -47,7 +51,3 @@ pub mod delay;
 pub mod grid;
 pub mod rlc;
 pub mod thermal;
-
-mod error;
-
-pub use error::{PdnError, Result};

@@ -6,12 +6,14 @@
 //! outcome, everything — and must stay so when the forked suffix runs fan
 //! out on the worker pool.
 //!
-//! Two victims are checked. The tiny dense victim's schedule ends inside
+//! Three victims are checked. The tiny dense victim's schedule ends inside
 //! the first fork interval, so its candidates all fork at cycle 0; the
 //! `dnn::zoo::mlp` victim runs long enough that candidates striking its
-//! later layers fork from deep snapshots.
+//! later layers fork from deep snapshots; and the same mlp shares the die
+//! with a square-wave bystander tenant, so forks and rejoins must also
+//! carry a third tenant's load.
 //!
-//! `DEEPSTRIKE_THREADS` is process-global, so both thread counts and both
+//! `DEEPSTRIKE_THREADS` is process-global, so both thread counts and all
 //! victims live in this single test (see `tests/remote_chaos.rs` for the
 //! same pattern).
 
@@ -20,7 +22,7 @@ use bench::golden::{accel_config, cosim_config, golden_images, tiny_dense_victim
 use deepstrike::attack::{
     clean_predictions, evaluate_attack, evaluate_attack_cached, plan_attack, profile_from_traces,
 };
-use deepstrike::cosim::{CloudFpga, InferenceRun};
+use deepstrike::cosim::{Bystander, CloudFpga, InferenceRun};
 use deepstrike::signal_ram::AttackScheme;
 use deepstrike::snapshot::SnapshotEngine;
 use dnn::fixed::QFormat;
@@ -58,13 +60,17 @@ fn tiny_dense() -> Victim {
     }
 }
 
-/// The `dnn::zoo::mlp` victim, built as in the `snapshot` unit tests.
-fn deep_mlp() -> Victim {
+/// The `dnn::zoo::mlp` victim, built as in the `snapshot` unit tests,
+/// optionally sharing the die with a bystander tenant.
+fn deep_mlp(bystander: Option<Bystander>) -> Victim {
     let net = mlp(&mut StdRng::seed_from_u64(0));
     let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper())
         .expect("mlp quantises");
     let mut base =
         CloudFpga::new(&q, &accel_config(), 12_000, cosim_config()).expect("platform assembles");
+    if let Some(b) = bystander {
+        base.add_bystander(b).expect("bystander draw and placement are valid");
+    }
     base.settle(50);
     let images = (0..4)
         .map(|i| {
@@ -150,6 +156,7 @@ fn check_against_naive(
     }
     let stats = engine.stats();
     assert!(stats.forked_runs >= 1, "at least one candidate must fork: {stats:?}");
+    assert!(stats.rejoined >= 1, "at least one fork must rejoin the reference: {stats:?}");
     (engine, schemes, forked)
 }
 
@@ -176,7 +183,8 @@ fn naive_replay(base: &CloudFpga, scheme: &AttackScheme) -> InferenceRun {
 
 #[test]
 fn snapshot_forked_runs_equal_naive_replay_at_one_and_eight_threads() {
-    let victims = [tiny_dense(), deep_mlp()];
+    let bystander = Bystander { pos: (0.5, 0.15), amps: 0.1, period_cycles: 32 };
+    let victims = [tiny_dense(), deep_mlp(None), deep_mlp(Some(bystander))];
     let mut per_thread: Vec<Vec<Vec<InferenceRun>>> = Vec::new();
     for threads in ["1", "8"] {
         std::env::set_var(par::THREADS_ENV, threads);
@@ -193,6 +201,7 @@ fn snapshot_forked_runs_equal_naive_replay_at_one_and_eight_threads() {
     std::env::remove_var(par::THREADS_ENV);
 
     let (first, rest) = per_thread.split_first().expect("two thread counts ran");
+    assert_ne!(first[1], first[2], "the bystander's load must reach the mlp's recordings");
     for other in rest {
         assert_eq!(first, other, "forked runs must not depend on DEEPSTRIKE_THREADS");
     }
