@@ -1,5 +1,5 @@
 //! §III-C claim — the latch-based striker passes DRC; a ring oscillator
-//! does not.
+//! does not. The striker's latched loop still oscillates when gated open.
 
 use bench::emit_series;
 use deepstrike::striker::StrikerBank;
@@ -65,6 +65,12 @@ fn main() {
         strict.error_count()
     );
     assert!(!strict.is_deployable(), "strict policy must catch the striker");
+
+    // Passing DRC does not stop the latched loop from oscillating.
+    let steps = 1000;
+    let toggles = StrikerBank::simulate_cell_toggles(steps);
+    println!("# behavioural check: {toggles} striker-cell toggles in {steps} gate-open steps");
+    assert!(toggles >= steps * 9 / 10, "latched loops must oscillate: {toggles} in {steps}");
     println!(
         "# shape-check: PASS (RO rejected, striker + TDC accepted, strict policy catches striker)"
     );

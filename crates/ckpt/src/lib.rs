@@ -2,8 +2,7 @@
 //!
 //! A long sweep (`fig5b`, `remote_campaign`, …) periodically hands this
 //! store an opaque payload — the encoded prefix of completed grid points
-//! or a serialized `RemoteCampaign` — and the store makes it survive
-//! `kill -9` at any instant:
+//! — and the store makes it survive `kill -9` at any instant:
 //!
 //! - **Atomic write-rename.** The payload is written to a staging file,
 //!   `fsync`ed, and renamed over the current checkpoint. A crash mid-save
@@ -21,9 +20,9 @@
 //! golden-trace layer can audit checkpoint cadence.
 //!
 //! The [`wire`] module is the repository's one little-endian codec: the
-//! checkpoint payload serializers (campaign state, sweep-slice results),
-//! the UART's command/response messages and the attack-scheme file all
-//! encode through it, and [`crc32`] is its one checksum.
+//! sweep-slice checkpoint payloads, the UART's command/response messages
+//! and the attack-scheme file all encode through it, and [`crc32`] is its
+//! one checksum.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -89,9 +88,8 @@ pub struct Loaded {
 
 /// CRC-32 (IEEE 802.3, reflected) over `data` — the same polynomial zlib
 /// and PNG use, implemented locally because the workspace vendors no
-/// checksum crate. It is the repository's one checksum: checkpoint files,
-/// the campaign config fingerprint, and the UART's frame check and
-/// whole-scheme upload check all use it.
+/// checksum crate. It is the repository's one checksum: checkpoint files
+/// and the UART's frame check and whole-scheme upload check all use it.
 pub fn crc32(data: &[u8]) -> u32 {
     !data.iter().fold(!0u32, |crc, &byte| CRC32_TABLE[usize::from(crc as u8 ^ byte)] ^ (crc >> 8))
 }

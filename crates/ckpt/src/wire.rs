@@ -1,7 +1,6 @@
-//! Little-endian wire codec shared by the checkpoint payload
-//! serializers (campaign state in `deepstrike::remote`, sweep-slice
-//! results in `bench::supervisor`) and the UART link (the
-//! `uart::proto` command/response messages and the
+//! Little-endian wire codec shared by the sweep-slice checkpoint payloads
+//! (`bench::supervisor`) and the UART link (the `uart::proto`
+//! command/response messages and the
 //! `deepstrike::signal_ram::AttackScheme` file they upload).
 //!
 //! Writers are free functions appending to a `Vec<u8>`; the [`Reader`]

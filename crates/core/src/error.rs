@@ -29,18 +29,6 @@ pub enum DeepStrikeError {
         /// The campaign phase that was executing when the link died.
         phase: trace::RemotePhase,
     },
-    /// A campaign phase exceeded its link-tick budget
-    /// (see `RemoteConfig::phase_tick_budget`).
-    /// Like [`DeepStrikeError::Interrupted`], the checkpoint is intact:
-    /// during profiling the supervisor feeds this into the guidance
-    /// ladder; elsewhere the campaign resumes the phase on the next run.
-    PhaseDeadline {
-        /// The phase whose budget ran out.
-        phase: trace::RemotePhase,
-    },
-    /// A durable checkpoint could not be saved or restored (I/O failure
-    /// or corruption with no good generation to roll back to).
-    Checkpoint(String),
 }
 
 impl fmt::Display for DeepStrikeError {
@@ -64,10 +52,6 @@ impl fmt::Display for DeepStrikeError {
                     phase.name()
                 )
             }
-            DeepStrikeError::PhaseDeadline { phase } => {
-                write!(f, "campaign phase {} exceeded its deadline budget", phase.name())
-            }
-            DeepStrikeError::Checkpoint(msg) => write!(f, "durable checkpoint: {msg}"),
         }
     }
 }

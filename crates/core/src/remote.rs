@@ -19,6 +19,10 @@
 //! restarting. Completed profiling runs are never re-read; an interrupted
 //! scheme upload continues from the shell's staging watermark.
 //!
+//! The checkpoint lives in memory only. A campaign is deterministic in its
+//! config, platform and link, so one lost with its process is simply rerun
+//! and reproduces the same result byte for byte.
+//!
 //! # Degradation ladder
 //!
 //! Repeated outages during profiling walk the guidance ladder recorded as
@@ -33,31 +37,6 @@
 //!    the strike budget over [`RemoteConfig::blind_spray_cycles`] (the
 //!    attacker's estimate of the inference length), the paper's unguided
 //!    baseline.
-//!
-//! # Phase deadlines
-//!
-//! A lossy link can also fail by *crawling* instead of dying: every
-//! retry eventually succeeds, so the transport never reports `LinkDown`,
-//! but profiling would take unbounded time. [`RemoteConfig`] therefore
-//! carries an optional per-phase budget in simulated link ticks
-//! ([`RemoteConfig::phase_tick_budget`]), deterministic like everything
-//! else that shapes a campaign's result. A supervisor watchdog checks it
-//! after every link exchange; a tripped budget emits
-//! [`trace::Event::PhaseDeadlineExceeded`] and follows the same
-//! degrade-don't-die policy as an outage: during profiling it feeds the
-//! guidance ladder above, elsewhere it surfaces as the resumable
-//! [`DeepStrikeError::PhaseDeadline`]. The budget defaults to `None`
-//! (unbounded), which leaves the historical behaviour untouched.
-//!
-//! # Durable checkpoints
-//!
-//! [`RemoteCampaign::persist`] serializes the full resumable state
-//! (phase, guidance, collected traces, compiled scheme) through a
-//! [`ckpt::CheckpointStore`] — atomic write-rename, versioned header,
-//! CRC, one-generation rollback — and [`RemoteCampaign::restore`] brings
-//! a campaign back after a process kill. The learned profile is *not*
-//! stored: it is recomputed deterministically from the stored traces, so
-//! a restored campaign is bit-identical to one that never died.
 
 use accel::fault::FaultModel;
 use dnn::quant::QuantizedNetwork;
@@ -99,9 +78,6 @@ pub struct RemoteConfig {
     pub blind_spray_cycles: u64,
     /// Seed for the host-side attack evaluation.
     pub eval_seed: u64,
-    /// Simulated link-tick budget per phase attempt; `None` (default)
-    /// disables the watchdog.
-    pub phase_tick_budget: Option<u64>,
 }
 
 impl RemoteConfig {
@@ -118,98 +94,7 @@ impl RemoteConfig {
             guidance_attempts: 2,
             blind_spray_cycles: 4096,
             eval_seed: 7,
-            phase_tick_budget: None,
         }
-    }
-}
-
-/// On-disk wire version of the serialized campaign state.
-const CAMPAIGN_WIRE_VERSION: u8 = 1;
-
-/// CRC-32 fingerprint of the result-affecting config fields. A durable
-/// checkpoint written under one config must not resume under another —
-/// the traces/scheme would silently disagree with the new parameters.
-/// The phase budget is excluded: it bounds time, not results.
-fn config_fingerprint(config: &RemoteConfig) -> u32 {
-    use ckpt::wire;
-    let mut bytes = Vec::new();
-    wire::put_u32(&mut bytes, config.layer_names.len() as u32);
-    for name in &config.layer_names {
-        wire::put_bytes(&mut bytes, name.as_bytes());
-    }
-    wire::put_bytes(&mut bytes, config.target.as_bytes());
-    wire::put_u32(&mut bytes, config.strikes);
-    wire::put_u64(&mut bytes, config.profile_runs as u64);
-    wire::put_u32(&mut bytes, config.read_chunk);
-    wire::put_u32(&mut bytes, config.guidance_attempts);
-    wire::put_u64(&mut bytes, config.blind_spray_cycles);
-    wire::put_u64(&mut bytes, config.eval_seed);
-    ckpt::crc32(&bytes)
-}
-
-fn phase_code(phase: RemotePhase) -> u8 {
-    match phase {
-        RemotePhase::Profile => 0,
-        RemotePhase::Plan => 1,
-        RemotePhase::Upload => 2,
-        RemotePhase::Arm => 3,
-        RemotePhase::Strike => 4,
-        RemotePhase::Evaluate => 5,
-    }
-}
-
-fn phase_from_code(code: u8) -> Option<RemotePhase> {
-    Some(match code {
-        0 => RemotePhase::Profile,
-        1 => RemotePhase::Plan,
-        2 => RemotePhase::Upload,
-        3 => RemotePhase::Arm,
-        4 => RemotePhase::Strike,
-        5 => RemotePhase::Evaluate,
-        _ => return None,
-    })
-}
-
-fn guidance_code(level: GuidanceLevel) -> u8 {
-    match level {
-        GuidanceLevel::Fresh => 0,
-        GuidanceLevel::Checkpoint => 1,
-        GuidanceLevel::Blind => 2,
-    }
-}
-
-fn guidance_from_code(code: u8) -> Option<GuidanceLevel> {
-    Some(match code {
-        0 => GuidanceLevel::Fresh,
-        1 => GuidanceLevel::Checkpoint,
-        2 => GuidanceLevel::Blind,
-        _ => return None,
-    })
-}
-
-/// The supervisor watchdog: armed at the start of a phase attempt,
-/// consulted after every link exchange. A budget of `None` never trips.
-struct Watchdog {
-    phase: RemotePhase,
-    start_tick: u64,
-    ticks: Option<u64>,
-}
-
-impl Watchdog {
-    fn arm(config: &RemoteConfig, phase: RemotePhase, link: &mut TransportClient) -> Self {
-        Watchdog { phase, start_tick: link.endpoint_mut().now(), ticks: config.phase_tick_budget }
-    }
-
-    /// Emits [`trace::Event::PhaseDeadlineExceeded`] and returns
-    /// [`DeepStrikeError::PhaseDeadline`] once the budget is spent.
-    fn check(&self, link: &mut TransportClient) -> Result<()> {
-        let spent = link.endpoint_mut().now().saturating_sub(self.start_tick);
-        if self.ticks.is_some_and(|budget| spent > budget) {
-            let phase = self.phase;
-            trace::emit(|| trace::Event::PhaseDeadlineExceeded { phase });
-            return Err(DeepStrikeError::PhaseDeadline { phase });
-        }
-        Ok(())
     }
 }
 
@@ -380,125 +265,6 @@ impl RemoteCampaign {
         }
     }
 
-    /// Serializes the resumable state for a durable checkpoint: wire
-    /// version, a fingerprint of the campaign config (resuming under a
-    /// different config is refused), phase, guidance, outage count, the
-    /// collected traces and the compiled scheme. The learned profile is
-    /// omitted — [`RemoteCampaign::decode`] recomputes it from the
-    /// traces, deterministically.
-    pub fn encode(&self) -> Vec<u8> {
-        use ckpt::wire;
-        let mut out = Vec::new();
-        wire::put_u8(&mut out, CAMPAIGN_WIRE_VERSION);
-        wire::put_u32(&mut out, config_fingerprint(&self.config));
-        wire::put_u8(&mut out, phase_code(self.phase));
-        wire::put_u8(&mut out, guidance_code(self.guidance));
-        wire::put_u32(&mut out, self.profile_outages);
-        wire::put_bool(&mut out, self.profile.is_some());
-        wire::put_u32(&mut out, self.traces.len() as u32);
-        for tdc_trace in &self.traces {
-            wire::put_bytes(&mut out, tdc_trace);
-        }
-        match &self.scheme {
-            Some(scheme) => {
-                wire::put_bool(&mut out, true);
-                wire::put_bytes(&mut out, &scheme.to_bytes());
-            }
-            None => wire::put_bool(&mut out, false),
-        }
-        out
-    }
-
-    /// Rebuilds a campaign from [`RemoteCampaign::encode`] bytes. The
-    /// restored campaign is marked interrupted, so its next `run` emits
-    /// [`trace::Event::CampaignResumed`] and continues from the stored
-    /// phase.
-    ///
-    /// # Errors
-    ///
-    /// [`DeepStrikeError::Checkpoint`] for malformed payloads or a
-    /// config fingerprint mismatch; scheme/profile reconstruction errors
-    /// pass through.
-    pub fn decode(config: RemoteConfig, bytes: &[u8]) -> Result<Self> {
-        let corrupt = |what: &str| DeepStrikeError::Checkpoint(format!("campaign payload: {what}"));
-        let mut r = ckpt::wire::Reader::new(bytes);
-        let version = r.take_u8().ok_or_else(|| corrupt("missing version"))?;
-        if version != CAMPAIGN_WIRE_VERSION {
-            return Err(corrupt("unsupported version"));
-        }
-        let fingerprint = r.take_u32().ok_or_else(|| corrupt("missing config fingerprint"))?;
-        if fingerprint != config_fingerprint(&config) {
-            return Err(DeepStrikeError::Checkpoint(
-                "campaign config differs from the checkpointed one; refusing to resume".into(),
-            ));
-        }
-        let phase = r.take_u8().and_then(phase_from_code).ok_or_else(|| corrupt("bad phase"))?;
-        let guidance = r
-            .take_u8()
-            .and_then(guidance_from_code)
-            .ok_or_else(|| corrupt("bad guidance level"))?;
-        let profile_outages = r.take_u32().ok_or_else(|| corrupt("missing outage count"))?;
-        let has_profile = r.take_bool().ok_or_else(|| corrupt("missing profile flag"))?;
-        let n_traces = r.take_u32().ok_or_else(|| corrupt("missing trace count"))?;
-        // Grown as traces decode, rather than reserving what a corrupt
-        // count claims.
-        let mut traces = Vec::new();
-        for _ in 0..n_traces {
-            traces.push(r.take_bytes().ok_or_else(|| corrupt("truncated trace"))?.to_vec());
-        }
-        let scheme = if r.take_bool().ok_or_else(|| corrupt("missing scheme flag"))? {
-            let scheme_bytes = r.take_bytes().ok_or_else(|| corrupt("truncated scheme"))?;
-            Some(AttackScheme::from_bytes(scheme_bytes)?)
-        } else {
-            None
-        };
-        if !r.is_empty() {
-            return Err(corrupt("trailing bytes"));
-        }
-        let profile = if has_profile {
-            let names: Vec<&str> = config.layer_names.iter().map(String::as_str).collect();
-            Some(profile_from_traces(&traces, &names)?)
-        } else {
-            None
-        };
-        Ok(RemoteCampaign {
-            config,
-            phase,
-            traces,
-            profile,
-            scheme,
-            guidance,
-            profile_outages,
-            interrupted: true,
-        })
-    }
-
-    /// Durably saves the campaign through `store` (atomic write-rename +
-    /// CRC + generation rollback) and returns the generation.
-    ///
-    /// # Errors
-    ///
-    /// [`DeepStrikeError::Checkpoint`] on I/O failure.
-    pub fn persist(&self, store: &mut ckpt::CheckpointStore) -> Result<u64> {
-        store.save(&self.encode()).map_err(|e| DeepStrikeError::Checkpoint(e.to_string()))
-    }
-
-    /// Loads the newest good generation from `store` and rebuilds the
-    /// campaign; `Ok(None)` when no durable checkpoint exists yet.
-    ///
-    /// # Errors
-    ///
-    /// [`DeepStrikeError::Checkpoint`] when every generation is corrupt
-    /// (never silently loaded) or on I/O failure; decode errors as in
-    /// [`RemoteCampaign::decode`].
-    pub fn restore(config: RemoteConfig, store: &ckpt::CheckpointStore) -> Result<Option<Self>> {
-        match store.load() {
-            Ok(None) => Ok(None),
-            Ok(Some(loaded)) => RemoteCampaign::decode(config, &loaded.payload).map(Some),
-            Err(e) => Err(DeepStrikeError::Checkpoint(e.to_string())),
-        }
-    }
-
     /// Drives the campaign to completion over `link`, resuming from the
     /// checkpointed phase if a previous call was interrupted.
     ///
@@ -521,18 +287,15 @@ impl RemoteCampaign {
         loop {
             match self.phase {
                 RemotePhase::Profile => {
-                    let watchdog = Watchdog::arm(&self.config, RemotePhase::Profile, link);
-                    match self.profile_phase(link, host, &watchdog) {
+                    match self.profile_phase(link, host) {
                         Ok(profile) => {
                             self.profile = Some(profile);
                             self.advance(RemotePhase::Plan);
                         }
-                        // Outages and blown deadlines share the
-                        // degrade-don't-die policy: tolerate
-                        // `guidance_attempts` of them, then walk the
-                        // guidance ladder instead of hanging forever.
-                        Err(DeepStrikeError::Link(UartError::LinkDown { .. }))
-                        | Err(DeepStrikeError::PhaseDeadline { .. }) => {
+                        // Degrade, don't die: tolerate `guidance_attempts`
+                        // outages, then walk the guidance ladder instead
+                        // of hanging forever.
+                        Err(DeepStrikeError::Link(UartError::LinkDown { .. })) => {
                             self.profile_outages += 1;
                             if self.profile_outages > self.config.guidance_attempts {
                                 self.degrade();
@@ -558,23 +321,15 @@ impl RemoteCampaign {
                     self.advance(RemotePhase::Upload);
                 }
                 RemotePhase::Upload => {
-                    let watchdog = Watchdog::arm(&self.config, RemotePhase::Upload, link);
                     let bytes = self.scheme()?.to_bytes();
                     match link.upload_scheme(&bytes, || host.pump()) {
-                        Ok(()) => {
-                            self.deadline_gate(watchdog.check(link))?;
-                            self.advance(RemotePhase::Arm);
-                        }
+                        Ok(()) => self.advance(RemotePhase::Arm),
                         Err(e) => return self.fail(e),
                     }
                 }
                 RemotePhase::Arm => {
-                    let watchdog = Watchdog::arm(&self.config, RemotePhase::Arm, link);
                     match link.transact(&Command::Arm { enabled: true }, || host.pump()) {
-                        Ok(Response::Ack) => {
-                            self.deadline_gate(watchdog.check(link))?;
-                            self.advance(RemotePhase::Strike);
-                        }
+                        Ok(Response::Ack) => self.advance(RemotePhase::Strike),
                         Ok(other) => {
                             return Err(DeepStrikeError::Link(UartError::UnexpectedResponse(
                                 format!("arm answered {other:?}"),
@@ -586,11 +341,9 @@ impl RemoteCampaign {
                 RemotePhase::Strike => {
                     // The victim runs its workload; the armed scheduler
                     // strikes on its own. Confirm over the link.
-                    let watchdog = Watchdog::arm(&self.config, RemotePhase::Strike, link);
                     host.victim_inference();
                     match link.transact(&Command::Status, || host.pump()) {
                         Ok(Response::Status(status)) => {
-                            self.deadline_gate(watchdog.check(link))?;
                             self.advance(RemotePhase::Evaluate);
                             return self.evaluate(host, status.strikes_fired);
                         }
@@ -654,16 +407,6 @@ impl RemoteCampaign {
         Err(DeepStrikeError::Interrupted { phase: self.phase })
     }
 
-    /// Makes a tripped non-profile deadline resumable: the phase is left
-    /// as-is (its work is redone on resume) and the error propagates to
-    /// the caller, which retries `run` exactly as for an outage.
-    fn deadline_gate(&mut self, check: Result<()>) -> Result<()> {
-        if check.is_err() {
-            self.interrupted = true;
-        }
-        check
-    }
-
     /// Walks one step down the guidance ladder after profiling kept
     /// failing: checkpointed traces if any segment cleanly, else blind.
     fn degrade(&mut self) {
@@ -691,20 +434,16 @@ impl RemoteCampaign {
         &mut self,
         link: &mut TransportClient,
         host: &mut dyn CampaignHost,
-        watchdog: &Watchdog,
     ) -> Result<VictimProfile> {
         let want = self.config.profile_runs.max(1);
         while self.traces.len() < want {
             // Stale samples: idle noise, or the tail of a run whose read
             // an outage cut short (that run is redone from scratch).
-            while !self.read_chunk(link, host)?.is_empty() {
-                watchdog.check(link)?;
-            }
+            while !self.read_chunk(link, host)?.is_empty() {}
             host.victim_inference();
             let mut tdc_trace = Vec::new();
             loop {
                 let chunk = self.read_chunk(link, host)?;
-                watchdog.check(link)?;
                 if chunk.is_empty() {
                     break;
                 }
@@ -856,211 +595,5 @@ mod tests {
         assert_eq!(outcome.scheme.delay_cycles, 0, "blind spray launches immediately");
         assert!(outcome.remote_strikes_fired >= 1, "the blind spray still fires");
         assert_eq!(campaign.checkpoint().completed_traces, 0, "no trace ever survived");
-    }
-
-    #[test]
-    fn durable_roundtrip_is_bit_identical_after_a_simulated_kill() {
-        let q = tiny_victim(11);
-        let config = RemoteConfig::new(&["fc1", "fc2"], "fc1", 6);
-
-        // Reference: one uninterrupted campaign over a clean link.
-        let (a, b) = Endpoint::pair();
-        let mut link = TransportClient::new(a);
-        let mut host = SimHost::new(
-            platform(&q),
-            TransportShell::new(b),
-            q.clone(),
-            eval_images(6),
-            FaultModel::paper(),
-        );
-        let mut reference = RemoteCampaign::new(config.clone());
-        let expected = reference.run(&mut link, &mut host).unwrap();
-
-        // Killed run: a link that dies mid-profile forces an interrupt;
-        // the campaign is persisted, dropped (the "kill"), restored from
-        // disk and driven to completion on a fresh healthy link.
-        let dir =
-            std::env::temp_dir().join(format!("deepstrike-campaign-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = ckpt::CheckpointStore::new(&dir, "campaign").unwrap();
-
-        let fault = FaultConfig { disconnects: vec![(30, 80)], ..FaultConfig::default() };
-        let (a, b) = Endpoint::faulty_pair(fault, 9);
-        let mut flaky_link = TransportClient::with_config(
-            a,
-            TransportConfig { pump_budget: 2, max_retries: 1, backoff_cap: 4, chunk_len: 16 },
-        );
-        let mut flaky_host = SimHost::new(
-            platform(&q),
-            TransportShell::new(b),
-            q.clone(),
-            eval_images(6),
-            FaultModel::paper(),
-        );
-        let mut victim_campaign = RemoteCampaign::new(config.clone());
-        match victim_campaign.run(&mut flaky_link, &mut flaky_host) {
-            Err(DeepStrikeError::Interrupted { .. }) => {}
-            other => panic!("the dead window must interrupt, got {other:?}"),
-        }
-        let generation = victim_campaign.persist(&mut store).unwrap();
-        assert_eq!(generation, 1);
-        drop(victim_campaign); // kill -9
-
-        let mut restored =
-            RemoteCampaign::restore(config.clone(), &store).unwrap().expect("a checkpoint exists");
-        assert_eq!(restored.checkpoint().phase, RemotePhase::Profile);
-        // Completion on a fresh clean link + fresh platform must match
-        // the reference bit-for-bit: the checkpointed traces were cut
-        // mid-run, so the resumed profile phase redoes them identically.
-        let (a, b) = Endpoint::pair();
-        let mut clean_link = TransportClient::new(a);
-        let mut clean_host = SimHost::new(
-            platform(&q),
-            TransportShell::new(b),
-            q.clone(),
-            eval_images(6),
-            FaultModel::paper(),
-        );
-        let ((), log) = trace::capture(1 << 16, || {
-            let resumed = loop {
-                match restored.run(&mut clean_link, &mut clean_host) {
-                    Ok(o) => break o,
-                    Err(DeepStrikeError::Interrupted { .. }) => {}
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-            };
-            assert_eq!(resumed.scheme, expected.scheme);
-            assert_eq!(resumed.outcome, expected.outcome);
-        });
-        assert!(
-            log.to_jsonl().contains(r#""ev":"campaign_resumed""#),
-            "restore must announce the resume:\n{}",
-            log.to_jsonl()
-        );
-
-        // A corrupted current generation rolls back to the previous one
-        // rather than being silently loaded.
-        let mut store2 = ckpt::CheckpointStore::new(&dir, "campaign").unwrap();
-        let fresh = RemoteCampaign::new(config.clone());
-        fresh.persist(&mut store2).unwrap();
-        let path = store2.path().to_path_buf();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let rolled = RemoteCampaign::restore(config.clone(), &store2).unwrap().unwrap();
-        assert_eq!(
-            rolled.checkpoint().phase,
-            RemotePhase::Profile,
-            "rollback must land on the generation-1 snapshot"
-        );
-
-        // A different config refuses the checkpoint outright.
-        let mut other = config;
-        other.strikes += 1;
-        match RemoteCampaign::restore(other, &store2) {
-            Err(DeepStrikeError::Checkpoint(msg)) => assert!(msg.contains("config")),
-            o => panic!("config mismatch must be refused, got {o:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crawling_link_trips_the_deadline_and_degrades_to_blind() {
-        let q = tiny_victim(11);
-        // A perfectly healthy link, but a tick budget far below what one
-        // profiling trace read costs: the transport never reports
-        // LinkDown, so without the watchdog the campaign would profile
-        // forever at this budget. Upload/arm/strike fit comfortably.
-        let (a, b) = Endpoint::pair();
-        let mut link = TransportClient::new(a);
-        let mut host = SimHost::new(
-            platform(&q),
-            TransportShell::new(b),
-            q.clone(),
-            eval_images(4),
-            FaultModel::paper(),
-        );
-        let mut config = RemoteConfig::new(&["fc1", "fc2"], "fc1", 6);
-        config.guidance_attempts = 1;
-        config.blind_spray_cycles = 600;
-        // One-sample reads make profiling cost ~2,000 ticks per run; the
-        // blind tail (plan → upload → arm → strike) costs < 10. A budget
-        // of 200 starves profiling while the tail completes untouched.
-        config.read_chunk = 1;
-        config.phase_tick_budget = Some(200);
-        let mut campaign = RemoteCampaign::new(config);
-
-        let (outcome, log) = trace::capture(1 << 17, || {
-            let mut interrupts = 0u32;
-            loop {
-                match campaign.run(&mut link, &mut host) {
-                    Ok(o) => break o,
-                    Err(DeepStrikeError::Interrupted { phase }) => {
-                        assert_eq!(phase, RemotePhase::Profile);
-                        interrupts += 1;
-                        assert!(interrupts < 10, "deadline ladder never converged");
-                    }
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-            }
-        });
-        assert_eq!(outcome.guidance, GuidanceLevel::Blind);
-        assert!(outcome.remote_strikes_fired >= 1);
-        let rendered = log.to_jsonl();
-        assert!(
-            rendered.contains(
-                r#""ev":"phase_deadline_exceeded","stage":"supervisor","phase":"profile""#
-            ),
-            "watchdog trip must be observable:\n{rendered}"
-        );
-        assert!(
-            rendered.contains(r#""ev":"guidance_degraded""#),
-            "deadline must feed the guidance ladder:\n{rendered}"
-        );
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_preserves_campaign_state() {
-        let config = RemoteConfig::new(&["fc1", "fc2"], "fc1", 6);
-        let mut campaign = RemoteCampaign::new(config.clone());
-        campaign.traces = vec![vec![1, 2, 3], vec![4, 5]];
-        campaign.profile_outages = 2;
-        campaign.guidance = GuidanceLevel::Blind;
-        campaign.phase = RemotePhase::Upload;
-        campaign.scheme = Some(crate::attack::plan_blind_cycles(600, 6));
-        let bytes = campaign.encode();
-        let decoded = RemoteCampaign::decode(config, &bytes).unwrap();
-        assert_eq!(decoded.phase, RemotePhase::Upload);
-        assert_eq!(decoded.guidance, GuidanceLevel::Blind);
-        assert_eq!(decoded.profile_outages, 2);
-        assert_eq!(decoded.traces, campaign.traces);
-        assert_eq!(decoded.scheme, campaign.scheme);
-        assert!(decoded.interrupted, "a restored campaign resumes");
-        // Truncations at every prefix length decode to a typed error,
-        // never a panic or a silent partial load.
-        for cut in 0..bytes.len() {
-            assert!(
-                RemoteCampaign::decode(RemoteConfig::new(&["fc1", "fc2"], "fc1", 6), &bytes[..cut])
-                    .is_err(),
-                "truncation at {cut} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupt_trace_count_is_a_typed_error() {
-        let config = RemoteConfig::new(&["fc1", "fc2"], "fc1", 6);
-        let mut campaign = RemoteCampaign::new(config.clone());
-        campaign.traces = vec![vec![1, 2, 3], vec![4, 5]];
-        let mut bytes = campaign.encode();
-        // Version, fingerprint, phase, guidance, outages and the profile
-        // flag take bytes 0..12; the trace count follows.
-        assert_eq!(bytes[12..16], 2u32.to_le_bytes());
-        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        match RemoteCampaign::decode(config, &bytes) {
-            Err(DeepStrikeError::Checkpoint(msg)) => assert!(msg.contains("truncated trace")),
-            other => panic!("a u32::MAX trace count must be refused, got {other:?}"),
-        }
     }
 }

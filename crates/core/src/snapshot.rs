@@ -72,11 +72,16 @@ const CHECK_EVERY: u64 = 32;
 
 /// Full platform state at the start of a cycle, plus the carried
 /// recorder state that lives outside [`CloudFpga`].
+///
+/// `fpga` here and `RejoinCheck::pdn` are boxed. Inline, an engine's
+/// ~100 forks and ~1,600 checks on LeNet make each vector one multi-MiB
+/// allocation, and freeing it raises glibc's dynamic mmap threshold, so
+/// later large buffers stay in the heap and peak RSS grows.
 struct ForkPoint {
     cycle: u64,
     /// Sentinel-pass platform state (readout ring buffer cleared — it
     /// never feeds back into the physics and forked runs discard it).
-    fpga: CloudFpga,
+    fpga: Box<CloudFpga>,
     /// Raw TDC word awaiting consumption by the scheduler next cycle.
     last_raw: Option<u128>,
     /// Detector trigger cycle, if it latched before this fork.
@@ -86,7 +91,7 @@ struct ForkPoint {
 /// Reference-pass state a finished candidate can bitwise-rejoin.
 struct RejoinCheck {
     cycle: u64,
-    pdn: SpatialPdn,
+    pdn: Box<SpatialPdn>,
     last_raw: Option<u128>,
 }
 
@@ -186,7 +191,7 @@ impl SnapshotEngine {
                 fpga.trace_buf.clear();
                 forks.push(ForkPoint {
                     cycle,
-                    fpga,
+                    fpga: Box::new(fpga),
                     last_raw: rec.last_raw,
                     triggered: rec.triggered_cycle,
                 });
@@ -194,7 +199,7 @@ impl SnapshotEngine {
             if cycle % CHECK_EVERY == 0 {
                 checks.push(RejoinCheck {
                     cycle,
-                    pdn: sentinel_pass.pdn.clone(),
+                    pdn: Box::new(sentinel_pass.pdn.clone()),
                     last_raw: rec.last_raw,
                 });
             }
@@ -319,7 +324,7 @@ impl SnapshotEngine {
         };
         self.counters.forked_runs.fetch_add(1, Ordering::Relaxed);
 
-        let mut fpga = fork.fpga.clone();
+        let mut fpga = CloudFpga::clone(&fork.fpga);
         // Swap the candidate's program into the sentinel's RAM at the
         // preserved playback position: bits consumed so far were all `0`
         // in both (the fork is at or before the first `1`), so the fork
@@ -348,7 +353,7 @@ impl SnapshotEngine {
             {
                 let check = &self.checks[(cycle / CHECK_EVERY) as usize];
                 debug_assert_eq!(check.cycle, cycle);
-                if check.last_raw == rec.last_raw && check.pdn == fpga.pdn {
+                if check.last_raw == rec.last_raw && *check.pdn == fpga.pdn {
                     self.counters.rejoined.fetch_add(1, Ordering::Relaxed);
                     self.counters.suffix_cycles.fetch_add(cycle - fork.cycle, Ordering::Relaxed);
                     return Ok(self.splice(fork.cycle, cycle, rec, fpga));

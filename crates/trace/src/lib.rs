@@ -60,7 +60,7 @@ pub enum Stage {
     /// `core::remote` campaign driver).
     Remote,
     /// The crash-safety supervisor layer (`par` quarantine, durable
-    /// checkpoints, phase watchdog).
+    /// checkpoints).
     Supervisor,
 }
 
@@ -226,9 +226,6 @@ pub enum Event {
     WorkerQuarantined { index: u64 },
     /// A durable checkpoint generation was written and fsynced to disk.
     CheckpointFsync { generation: u64, bytes: u64 },
-    /// A campaign phase blew its link-tick budget and the watchdog forced
-    /// a resumable interrupt (degrade, don't die).
-    PhaseDeadlineExceeded { phase: RemotePhase },
 }
 
 impl Event {
@@ -254,9 +251,7 @@ impl Event {
             | Event::CheckpointSaved { .. }
             | Event::CampaignResumed { .. }
             | Event::GuidanceDegraded { .. } => Stage::Remote,
-            Event::WorkerQuarantined { .. }
-            | Event::CheckpointFsync { .. }
-            | Event::PhaseDeadlineExceeded { .. } => Stage::Supervisor,
+            Event::WorkerQuarantined { .. } | Event::CheckpointFsync { .. } => Stage::Supervisor,
         }
     }
 
@@ -380,12 +375,6 @@ impl Event {
                 s,
                 r#"{{"ev":"checkpoint_fsync","stage":"{}","generation":{generation},"bytes":{bytes}}}"#,
                 self.stage().name()
-            ),
-            Event::PhaseDeadlineExceeded { phase } => write!(
-                s,
-                r#"{{"ev":"phase_deadline_exceeded","stage":"{}","phase":"{}"}}"#,
-                self.stage().name(),
-                phase.name()
             ),
         };
         s
@@ -695,7 +684,6 @@ mod tests {
             events: vec![
                 Event::WorkerQuarantined { index: 17 },
                 Event::CheckpointFsync { generation: 3, bytes: 4096 },
-                Event::PhaseDeadlineExceeded { phase: RemotePhase::Profile },
             ],
             dropped: 0,
         };
@@ -705,7 +693,6 @@ mod tests {
             concat!(
                 "{\"ev\":\"worker_quarantined\",\"stage\":\"supervisor\",\"index\":17}\n",
                 "{\"ev\":\"checkpoint_fsync\",\"stage\":\"supervisor\",\"generation\":3,\"bytes\":4096}\n",
-                "{\"ev\":\"phase_deadline_exceeded\",\"stage\":\"supervisor\",\"phase\":\"profile\"}\n",
             )
         );
     }

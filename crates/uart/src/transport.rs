@@ -157,11 +157,6 @@ impl TransportClient {
         }
     }
 
-    /// The active transport tunables.
-    pub fn config(&self) -> &TransportConfig {
-        &self.config
-    }
-
     /// Cumulative transport counters.
     pub fn stats(&self) -> TransportStats {
         self.stats

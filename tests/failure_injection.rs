@@ -222,7 +222,7 @@ fn disconnect_resumes_from_checkpoint_to_the_uninterrupted_result() {
     let mut campaign = RemoteCampaign::new(remote_config());
 
     let mut interrupted_phases = Vec::new();
-    let outcome = loop {
+    let (outcome, log) = trace::capture(1 << 16, || loop {
         match campaign.run(&mut link, &mut host) {
             Ok(o) => break o,
             Err(DeepStrikeError::Interrupted { phase }) => {
@@ -231,9 +231,21 @@ fn disconnect_resumes_from_checkpoint_to_the_uninterrupted_result() {
             }
             Err(e) => panic!("unexpected hard failure: {e}"),
         }
-    };
+    });
 
     assert!(!interrupted_phases.is_empty(), "the dead window must interrupt the campaign");
+    assert_eq!(log.dropped, 0);
+    // Every interrupt is followed by exactly one announced resume, at the
+    // phase that was cut.
+    let resumed: Vec<RemotePhase> = log
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            trace::Event::CampaignResumed { phase } => Some(*phase),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resumed, interrupted_phases, "one campaign_resumed event per interrupt");
     // The window is aimed past profiling: the checkpointed profile and
     // plan must survive every interrupt (this is what "resume" means —
     // the campaign picks up mid-sequence instead of starting over).
@@ -247,6 +259,7 @@ fn disconnect_resumes_from_checkpoint_to_the_uninterrupted_result() {
     assert_eq!(ckpt.completed_traces, remote_config().profile_runs, "profile survived");
     assert_eq!(outcome.guidance, deepstrike::remote::GuidanceLevel::Fresh);
     assert_eq!(outcome.scheme, reference.scheme, "resume must not re-plan a different scheme");
+    assert_eq!(outcome.outcome, reference.outcome, "resume must reproduce the uninterrupted score");
 }
 
 #[test]
