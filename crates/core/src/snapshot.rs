@@ -24,15 +24,18 @@
 //!
 //! 2. **Post-strike rejoin.** The PDN is linear, a disabled striker draws
 //!    exactly 0.0 A, and the warm-started Gauss–Seidel relaxation is
-//!    contracting with a bitwise early-exit — so a few hundred cycles
-//!    after a candidate's last strike the mesh state becomes *bitwise
-//!    equal* to the reference pass and stays that way. The reference pass
-//!    stores a `RejoinCheck` (mesh state + last raw TDC word) every
-//!    `CHECK_EVERY` cycles; once a forked suffix has exhausted its scheme
-//!    and matches a check, the remaining recording is spliced from the
-//!    reference and the remaining thermal integration replays the
-//!    reference's per-cycle powers (the thermal model is feed-forward:
-//!    its state never feeds back into the electrical loop).
+//!    contracting, and each sweep is a deterministic map of the mesh
+//!    state, so a sweep that leaves every node bit-unchanged pins the mesh
+//!    (`pdn::grid`'s `settled_mesh_is_a_bitwise_fixed_point`). A few
+//!    hundred cycles after a candidate's last strike the mesh state
+//!    therefore becomes *bitwise equal* to the reference pass and stays
+//!    that way. The reference pass stores a `RejoinCheck` (mesh state +
+//!    last raw TDC word) every `CHECK_EVERY` cycles; once a forked suffix
+//!    has exhausted its scheme and matches a check, the remaining
+//!    recording is spliced from the reference and the remaining thermal
+//!    integration replays the reference's per-cycle powers (the thermal
+//!    model is feed-forward: its state never feeds back into the
+//!    electrical loop).
 //!
 //! Determinism: a forked run performs the identical `CloudFpga::step_cycle`
 //! sequence a naive replay would — same float operations in the same

@@ -13,7 +13,10 @@
 //! *local deviation* field `δ` solves the resistive mesh around the
 //! injected currents. `δ` is quasi-static relative to the 1 ns step and is
 //! relaxed by two warm-started Gauss–Seidel sweeps per step — injections
-//! only change at cycle boundaries, so two sweeps track them.
+//! only change at cycle boundaries, so two sweeps track them. Both sweeps
+//! run as one fused wavefront over the mesh's anti-diagonals (see
+//! `SpatialPdn::relax`); a sweep is a deterministic map of the state, so a
+//! mesh whose sweep leaves every node bit-unchanged stays pinned.
 //!
 //! The mesh is the one modelled board's: 16×10 nodes, 5 S from each node
 //! to the rail and 125 S between neighbours, fixed as private constants.
@@ -40,6 +43,45 @@ const G_MESH: f64 = 125.0;
 /// Gauss–Seidel sweeps per step: warm-started from the previous step's
 /// field, two sweeps track the cycle-boundary load changes.
 const SWEEPS: usize = 2;
+/// Anti-diagonals `x + y = d` of the mesh.
+const DIAGS: usize = NX + NY - 1;
+/// Diagonals by which sweep `s + 1` trails sweep `s` in the fused
+/// wavefront. Any lag of at least 1 reads the row-major values (0 would
+/// have sweep `s + 1` read diagonal `d + 1` before sweep `s` reaches it);
+/// at 2 the diagonals one iteration updates never neighbour each other,
+/// so their updates are independent.
+const LAG: usize = 2;
+
+/// Node indices grouped by anti-diagonal in ascending `d` (ascending `x`
+/// within a diagonal), and where each diagonal's run starts:
+/// diagonal `d` is `order[start[d]..start[d + 1]]`.
+struct DiagonalOrder {
+    order: [usize; NODES],
+    start: [usize; DIAGS + 1],
+}
+
+static DIAGONALS: DiagonalOrder = diagonal_order();
+
+const fn diagonal_order() -> DiagonalOrder {
+    let mut order = [0; NODES];
+    let mut start = [0; DIAGS + 1];
+    let mut n = 0;
+    let mut d = 0;
+    while d < DIAGS {
+        start[d] = n;
+        let mut x = 0;
+        while x < NX {
+            if x <= d && d - x < NY {
+                order[n] = (d - x) * NX + x;
+                n += 1;
+            }
+            x += 1;
+        }
+        d += 1;
+    }
+    start[DIAGS] = n;
+    DiagonalOrder { order, start }
+}
 
 /// Per-node total conductance (supply + present neighbours) — the
 /// Gauss–Seidel denominator, accumulated in the same left/right/up/down
@@ -125,32 +167,43 @@ impl SpatialPdn {
     }
 
     /// Gauss–Seidel relaxation of the local deviation field `δ` around the
-    /// injected currents (`δ = 0` where nothing is drawn).
+    /// injected currents (`δ = 0` where nothing is drawn): `SWEEPS`
+    /// row-major sweeps, run as one fused wavefront.
     ///
-    /// One loop visits every node in row-major order. A missing neighbour
-    /// contributes `+0.0` to the flow, still summed in left/right/up/down
-    /// order, and the denominator comes from the precomputed `G_SUM`
-    /// stencil. The sweep loop exits as soon as one full sweep leaves
-    /// every node bit-unchanged (a Gauss–Seidel sweep is a deterministic
-    /// map, so once it is the identity every remaining sweep would be
-    /// too — results are exactly those of always running `SWEEPS`
-    /// sweeps). Warm-started steady states therefore pay for one sweep.
+    /// In a row-major sweep a node reads its left and upper neighbours
+    /// (anti-diagonal `d − 1`) from this sweep and its right and lower
+    /// ones (`d + 1`) from the previous sweep, so the nodes of one
+    /// diagonal never read each other. Iteration `k` therefore runs sweep
+    /// `s` on diagonal `k − LAG·s`: each node reads exactly the values the
+    /// row-major sweep gives it, the updates within an iteration are
+    /// independent, and every float operation is the one the row-major
+    /// sweep does. A missing neighbour contributes `+0.0` to the flow,
+    /// still summed in left/right/up/down order, and the denominator comes
+    /// from the precomputed `G_SUM` stencil.
+    ///
+    /// All `SWEEPS` always run. A sweep is a deterministic map of the
+    /// state, so once one leaves every node bit-unchanged every later one
+    /// does too: a settled mesh under a constant load is pinned bitwise.
     fn relax(&mut self) {
-        for _ in 0..SWEEPS {
-            let mut changed = false;
-            for (i, g_sum) in G_SUM.iter().enumerate() {
-                let (x, y) = (i % NX, i / NX);
-                let left = if x > 0 { G_MESH * self.delta[i - 1] } else { 0.0 };
-                let right = if x + 1 < NX { G_MESH * self.delta[i + 1] } else { 0.0 };
-                let up = if y > 0 { G_MESH * self.delta[i - NX] } else { 0.0 };
-                let down = if y + 1 < NY { G_MESH * self.delta[i + NX] } else { 0.0 };
-                let v = (left + right + up + down - self.i_inj[i]) / g_sum;
-                changed |= v.to_bits() != self.delta[i].to_bits();
-                self.delta[i] = v;
+        for k in 0..DIAGS + LAG * (SWEEPS - 1) {
+            for sweep in 0..SWEEPS {
+                let Some(d) = k.checked_sub(LAG * sweep) else { break };
+                if d < DIAGS {
+                    self.relax_diagonal(d);
+                }
             }
-            if !changed {
-                break;
-            }
+        }
+    }
+
+    /// One Gauss–Seidel update of every node on anti-diagonal `d`.
+    fn relax_diagonal(&mut self, d: usize) {
+        for &i in &DIAGONALS.order[DIAGONALS.start[d]..DIAGONALS.start[d + 1]] {
+            let (x, y) = (i % NX, i / NX);
+            let left = if x > 0 { G_MESH * self.delta[i - 1] } else { 0.0 };
+            let right = if x + 1 < NX { G_MESH * self.delta[i + 1] } else { 0.0 };
+            let up = if y > 0 { G_MESH * self.delta[i - NX] } else { 0.0 };
+            let down = if y + 1 < NY { G_MESH * self.delta[i + NX] } else { 0.0 };
+            self.delta[i] = (left + right + up + down - self.i_inj[i]) / G_SUM[i];
         }
     }
 
@@ -225,8 +278,8 @@ mod tests {
     }
 
     proptest! {
-        /// Transient, steady-state (early-exit) and post-load-change
-        /// phases all match the always-`SWEEPS` reference exactly, for
+        /// Transient, steady-state and post-load-change phases of the
+        /// fused wavefront all match the row-major reference exactly, for
         /// loads at random nodes (edges by chance, all four corners every
         /// case) that switch on, change and switch off mid-run.
         #[test]
@@ -259,6 +312,50 @@ mod tests {
                     prop_assert!(a.to_bits() == b.to_bits(), "step {step} node {i}: {a:e} vs {b:e}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn diagonal_table_visits_every_node_once_in_ascending_diagonals() {
+        let DiagonalOrder { order, start } = &DIAGONALS;
+        assert_eq!((start[0], start[DIAGS]), (0, NODES));
+        let mut seen = [false; NODES];
+        for d in 0..DIAGS {
+            assert!(start[d] < start[d + 1], "diagonal {d} is empty");
+            for &i in &order[start[d]..start[d + 1]] {
+                assert_eq!(i % NX + i / NX, d, "node {i} filed under diagonal {d}");
+                assert!(!seen[i], "node {i} visited twice");
+                seen[i] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every node is visited");
+    }
+
+    /// The premise of the snapshot engine's rejoin check: under a
+    /// constant load, a mesh whose step leaves `δ` bit-unchanged stays
+    /// bit-unchanged.
+    #[test]
+    fn settled_mesh_is_a_bitwise_fixed_point() {
+        let mut g = SpatialPdn::new();
+        g.inject(node(3, 7), 4.0);
+        g.inject(node(12, 2), 1.5);
+        let mut settled_after = None;
+        for step in 0..5000 {
+            let before = g.delta;
+            g.step(1e-9);
+            if before.map(f64::to_bits) == g.delta.map(f64::to_bits) {
+                settled_after = Some(step);
+                break;
+            }
+        }
+        assert!(settled_after.is_some(), "δ still moving after 5000 steps");
+        let settled = g.delta;
+        for step in 0..100 {
+            g.step(1e-9);
+            assert!(
+                settled.map(f64::to_bits) == g.delta.map(f64::to_bits),
+                "δ moved {step} steps after settling"
+            );
         }
     }
 
