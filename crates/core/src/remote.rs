@@ -103,7 +103,10 @@ impl RemoteConfig {
 /// victim must execute its workload, and the attack is ultimately scored
 /// by observing the victim's outputs.
 pub trait CampaignHost {
-    /// Services the FPGA-side transport shell once (one poll).
+    /// Services the FPGA-side transport shell once (one poll). Must be a
+    /// no-op while no byte has arrived toward the shell: the transport's
+    /// event-driven clock skips the pump on such ticks (see
+    /// [`TransportClient::transact`]).
     fn pump(&mut self);
 
     /// Runs one victim inference on the platform (the tenant's own

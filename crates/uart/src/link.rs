@@ -12,9 +12,11 @@
 //! Errors cluster in bursts (a two-state Gilbert–Elliott model): real
 //! serial links fail in glitches, not as independent coin flips, and
 //! burstiness is what makes frame retransmission effective. Time is a
-//! shared tick counter advanced by [`Endpoint::advance`] — the transport
-//! layer ticks it once per pump iteration, which drives jitter delivery
-//! and disconnect windows deterministically.
+//! shared tick counter advanced by [`Endpoint::advance`], which drives
+//! jitter delivery and disconnect windows deterministically. A tick on
+//! which no byte arrives changes nothing, so the transport jumps the
+//! clock straight to the next arrival ([`Endpoint::next_arrival`]) or
+//! retransmit deadline.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,9 +60,10 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// True while tick `now` falls inside a disconnect window.
+    /// True while tick `now` falls inside a disconnect window. A window
+    /// may reach past `u64::MAX`; it then stays open to the end of time.
     pub fn disconnected_at(&self, now: u64) -> bool {
-        self.disconnects.iter().any(|&(start, len)| now >= start && now < start + len)
+        self.disconnects.iter().any(|&(start, len)| now >= start && now - start < len)
     }
 }
 
@@ -224,11 +227,26 @@ impl Endpoint {
         self.clock.fetch_add(ticks, Ordering::Relaxed);
     }
 
+    /// Earliest delivery tick of any byte in flight in either direction,
+    /// or `None` when both wires are empty. Delivery ticks are monotone
+    /// along each FIFO wire, so each front holds its wire's minimum.
+    pub fn next_arrival(&self) -> Option<u64> {
+        let front = |wire: &Mutex<Wire>| {
+            wire.lock().expect("wire poisoned").bytes.front().map(|&(at, _)| at)
+        };
+        // One lock at a time: never hold both wires at once.
+        let tx = front(&self.tx);
+        let rx = front(&self.rx);
+        tx.into_iter().chain(rx).min()
+    }
+
     /// Writes bytes toward the peer.
     pub fn send(&mut self, bytes: &[u8]) {
         let now = self.now();
         let mut wire = self.tx.lock().expect("wire poisoned");
         let Wire { bytes: queue, pending_corruption, faults } = &mut *wire;
+        // `now` is fixed for the call, so one window check covers it.
+        let down = faults.as_ref().is_some_and(|f| f.config.disconnected_at(now));
         for &b in bytes {
             // The deterministic rig applies first (it models the sender's
             // own line driver glitching, independent of channel state).
@@ -239,7 +257,7 @@ impl Endpoint {
             match faults {
                 Some(f) => {
                     f.stats.sent += 1;
-                    if f.config.disconnected_at(now) {
+                    if down {
                         f.stats.dropped += 1;
                         continue;
                     }
@@ -402,5 +420,34 @@ mod tests {
         a.send(&[4]);
         assert_eq!(a.tx_stats().dropped, 2, "the link recovers after the window");
         assert_eq!(b.recv_all(), vec![1, 4], "window bytes are gone for good");
+    }
+
+    #[test]
+    fn a_window_reaching_past_the_end_of_time_stays_open() {
+        let config =
+            FaultConfig { disconnects: vec![(u64::MAX - 5, 100)], ..FaultConfig::default() };
+        assert!(!config.disconnected_at(0));
+        assert!(!config.disconnected_at(u64::MAX - 6));
+        assert!(config.disconnected_at(u64::MAX - 5));
+        assert!(config.disconnected_at(u64::MAX));
+    }
+
+    #[test]
+    fn next_arrival_is_the_earliest_front_of_either_wire() {
+        let config = FaultConfig { max_jitter: 4, ..FaultConfig::default() };
+        let (mut a, mut b) = Endpoint::faulty_pair(config, 17);
+        assert_eq!(a.next_arrival(), None, "empty wires");
+        a.advance(10);
+        a.send(&[1, 2, 3]);
+        b.send(&[4]);
+        let fronts = [a.tx.lock().unwrap().bytes[0].0, b.tx.lock().unwrap().bytes[0].0];
+        let want = fronts.into_iter().min();
+        assert!(want.is_some_and(|at| (10..=14).contains(&at)));
+        assert_eq!(a.next_arrival(), want);
+        assert_eq!(b.next_arrival(), want, "both endpoints see the same wires");
+        a.advance(4);
+        b.recv_all();
+        a.recv_all();
+        assert_eq!(a.next_arrival(), None, "everything arrived by now + max_jitter");
     }
 }

@@ -79,17 +79,17 @@ pub trait ShellHandler {
 }
 
 /// Tunables of the reliable transport. The defaults suit the in-memory
-/// link: one pump iteration delivers one shell poll, so budgets are
-/// counted in pump iterations (= link ticks), not wall-clock time.
+/// link: budgets are counted in link ticks, not wall-clock time, and the
+/// transport pumps the shell at most once per tick.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportConfig {
-    /// Pump iterations to wait for a response before the *first*
+    /// Link ticks to wait for a response before the *first*
     /// retransmission. Default 100.
     pub pump_budget: u32,
     /// Retransmissions after the initial send before giving up with
     /// [`UartError::LinkDown`]. Default 6.
     pub max_retries: u32,
-    /// Upper bound on the per-attempt pump budget as backoff doubles it
+    /// Upper bound on the per-attempt tick budget as backoff doubles it
     /// (`100, 200, 400, 800, 800, …` with the defaults). Default 800.
     pub backoff_cap: u32,
     /// Bytes per `UploadChunk`. Small chunks keep frames short enough to
@@ -138,6 +138,9 @@ pub struct TransportClient {
     config: TransportConfig,
     next_seq: u16,
     stats: TransportStats,
+    /// Runs [`Self::transact`] on the per-tick reference clock.
+    #[cfg(test)]
+    per_tick: bool,
 }
 
 impl TransportClient {
@@ -154,6 +157,8 @@ impl TransportClient {
             config,
             next_seq: 0,
             stats: TransportStats::default(),
+            #[cfg(test)]
+            per_tick: false,
         }
     }
 
@@ -171,10 +176,17 @@ impl TransportClient {
     /// retransmits with capped exponential backoff until the matching
     /// response arrives.
     ///
-    /// Each pump iteration advances the shared link clock by one tick,
-    /// which is what delivers jittered bytes and eventually closes
-    /// disconnect windows — the transport *rides out* outages shorter
+    /// Budgets are link ticks, and the link clock is event-driven: the
+    /// wait jumps to the tick before the next byte arrival
+    /// ([`Endpoint::next_arrival`]), or to the attempt's deadline when no
+    /// byte is in flight, and pumps once per tick from there. Jittered
+    /// bytes land and disconnect windows close on the same ticks as with
+    /// one pump per tick, so the transport *rides out* outages shorter
     /// than its total retry span.
+    ///
+    /// `pump` runs the FPGA side once (a [`TransportShell::poll`]). It
+    /// must be a no-op while no byte has arrived toward the shell, since
+    /// the transport skips it only on such ticks.
     ///
     /// # Errors
     ///
@@ -183,6 +195,62 @@ impl TransportClient {
     /// [`UartError::MalformedMessage`] if a verified response frame fails
     /// protocol decoding.
     pub fn transact(&mut self, command: &Command, mut pump: impl FnMut()) -> Result<Response> {
+        #[cfg(test)]
+        if self.per_tick {
+            return self.transact_per_tick(command, pump);
+        }
+        let seq = self.next_seq;
+        self.next_seq = self.next_seq.wrapping_add(1);
+        let wire = encode_frame(&wrap(seq, &command.to_bytes()));
+        let mut budget = self.config.pump_budget.max(1);
+        let attempts = self.config.max_retries + 1;
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                self.stats.retransmissions += 1;
+                trace::emit(|| trace::Event::LinkRetry { seq: u64::from(seq), attempt });
+            }
+            self.endpoint.send(&wire);
+            let mut left = u64::from(budget);
+            while left > 0 {
+                // A tick before the next arrival changes nothing: the shell
+                // takes bytes due by `now`, the client bytes due by
+                // `now + 1`, and windows and fault draws act only on send.
+                let idle = match self.endpoint.next_arrival() {
+                    Some(at) => at.saturating_sub(self.endpoint.now()).saturating_sub(1).min(left),
+                    None => left,
+                };
+                if idle > 0 {
+                    self.endpoint.advance(idle);
+                    left -= idle;
+                    continue;
+                }
+                left -= 1;
+                pump();
+                self.endpoint.advance(1);
+                let bytes = self.endpoint.recv_all();
+                for frame in self.decoder.push_bytes(&bytes) {
+                    let Some((rseq, inner)) = unwrap(&frame) else { continue };
+                    if rseq != seq {
+                        continue; // stale answer to an earlier retransmission
+                    }
+                    self.stats.exchanges += 1;
+                    return match Response::from_bytes(inner)? {
+                        Response::Error(code) => Err(UartError::Remote(code)),
+                        r => Ok(r),
+                    };
+                }
+            }
+            budget = budget.saturating_mul(2).min(self.config.backoff_cap.max(1));
+        }
+        self.stats.gave_up += 1;
+        trace::emit(|| trace::Event::LinkGaveUp { seq: u64::from(seq), attempts });
+        Err(UartError::LinkDown { attempts })
+    }
+
+    /// The reference for [`Self::transact`]: the clock ticks once per
+    /// pump, whether or not anything is in flight.
+    #[cfg(test)]
+    fn transact_per_tick(&mut self, command: &Command, mut pump: impl FnMut()) -> Result<Response> {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         let wire = encode_frame(&wrap(seq, &command.to_bytes()));
@@ -224,6 +292,9 @@ impl TransportClient {
     /// If the commit reports a CRC mismatch (a stale staging buffer from
     /// a *different* aborted payload of the same length), the transfer is
     /// restarted from scratch once.
+    ///
+    /// `pump` follows the contract of [`Self::transact`]: a no-op while no
+    /// byte has arrived toward the shell.
     ///
     /// # Errors
     ///
@@ -426,9 +497,10 @@ impl TransportShell {
 mod tests {
     use super::*;
     use crate::link::FaultConfig;
+    use proptest::prelude::*;
 
     /// Counts executions so duplicate suppression is observable.
-    #[derive(Default)]
+    #[derive(Debug, Default, PartialEq)]
     struct CountingFpga {
         scheme: Vec<u8>,
         armed: bool,
@@ -567,14 +639,41 @@ mod tests {
 
     #[test]
     fn dead_link_gives_up_with_link_down() {
+        let config =
+            TransportConfig { pump_budget: 3, max_retries: 2, backoff_cap: 6, chunk_len: 16 };
+        // A silent peer: every request sits unread toward the shell, so
+        // the transport pumps on every tick of the 3 + 6 + 6 budget.
         let (a, _b) = Endpoint::pair();
-        let mut client = TransportClient::with_config(
-            a,
-            TransportConfig { pump_budget: 3, max_retries: 2, backoff_cap: 6, chunk_len: 16 },
-        );
-        let err = client.transact(&Command::Status, || {}).unwrap_err();
+        let mut client = TransportClient::with_config(a, config.clone());
+        let mut pumps = 0;
+        let err = client.transact(&Command::Status, || pumps += 1).unwrap_err();
         assert_eq!(err, UartError::LinkDown { attempts: 3 });
         assert_eq!(client.stats().gave_up, 1);
+        assert_eq!((pumps, client.endpoint_mut().now()), (15, 15));
+        // A wire that drops every byte: nothing is ever in flight, so each
+        // attempt's whole budget passes in one jump, with no pump at all.
+        let dead = FaultConfig { disconnects: vec![(0, u64::MAX)], ..FaultConfig::default() };
+        let (a, _b) = Endpoint::faulty_pair(dead, 1);
+        let mut client = TransportClient::with_config(a, config);
+        let mut pumps = 0;
+        let err = client.transact(&Command::Status, || pumps += 1).unwrap_err();
+        assert_eq!(err, UartError::LinkDown { attempts: 3 });
+        assert_eq!(client.stats().gave_up, 1);
+        assert_eq!((pumps, client.endpoint_mut().now()), (0, 3 + 6 + 6));
+    }
+
+    #[test]
+    fn a_clean_exchange_pumps_once() {
+        let (mut client, mut shell, mut fpga) = clean_rig();
+        let mut pumps = 0;
+        let r = client
+            .transact(&Command::Status, || {
+                pumps += 1;
+                shell.poll(&mut fpga);
+            })
+            .unwrap();
+        assert!(matches!(r, Response::Status(_)));
+        assert_eq!((pumps, client.endpoint_mut().now()), (1, 1));
     }
 
     #[test]
@@ -770,5 +869,68 @@ mod tests {
         assert_eq!(fpga.scheme, data);
         assert_eq!(fpga.scheme_loads, 1);
         assert!(client.stats().retransmissions > 0, "a lossy link must force retries");
+    }
+
+    /// A faulty rig whose client waits on the event-driven clock, or on
+    /// the per-tick reference when `per_tick` is set.
+    fn faulty_rig(
+        faults: &FaultConfig,
+        seed: u64,
+        config: &TransportConfig,
+        per_tick: bool,
+    ) -> (TransportClient, TransportShell, CountingFpga) {
+        let (a, b) = Endpoint::faulty_pair(faults.clone(), seed);
+        let mut client = TransportClient::with_config(a, config.clone());
+        client.per_tick = per_tick;
+        let fpga = CountingFpga { trace: (0..=255).collect(), ..CountingFpga::default() };
+        (client, TransportShell::new(b), fpga)
+    }
+
+    proptest! {
+        /// Jumping idle ticks is exact: on identically seeded lossy,
+        /// jittery links with outages, every command gives the same
+        /// result at the same tick as pumping once per tick, with the
+        /// same transport and link counters and the same shell and
+        /// handler state.
+        #[test]
+        fn event_clock_is_tick_identical_to_the_per_tick_reference(
+            rates in (0.0f64..0.2, 0.0f64..0.2, 1.0f64..24.0, 0u64..5),
+            windows in prop::collection::vec((0u64..3000, 0u64..600), 0..3),
+            budgets in (0u32..40, 0u32..8, 0u32..200, 0usize..24),
+            seed in any::<u64>(),
+            commands in prop::collection::vec(
+                (0u8..4, 0u32..100, prop::collection::vec(any::<u8>(), 0..80)),
+                1..10,
+            ),
+        ) {
+            let (loss, corrupt, burst_len, max_jitter) = rates;
+            let faults = FaultConfig { loss, corrupt, burst_len, max_jitter, disconnects: windows };
+            let (pump_budget, max_retries, backoff_cap, chunk_len) = budgets;
+            let config = TransportConfig { pump_budget, max_retries, backoff_cap, chunk_len };
+            let mut event = faulty_rig(&faults, seed, &config, false);
+            let mut per_tick = faulty_rig(&faults, seed, &config, true);
+            for (i, (kind, arg, data)) in commands.iter().enumerate() {
+                let [a, b] = [&mut event, &mut per_tick].map(|(client, shell, fpga)| {
+                    let mut pump = || {
+                        shell.poll(fpga);
+                    };
+                    let result = match kind {
+                        0 => client.transact(&Command::Status, &mut pump),
+                        1 => client.transact(&Command::ReadTrace { max_samples: *arg }, &mut pump),
+                        2 => client.transact(&Command::Arm { enabled: arg % 2 == 0 }, &mut pump),
+                        _ => client.upload_scheme(data, &mut pump).map(|()| Response::Ack),
+                    };
+                    (
+                        result,
+                        client.stats(),
+                        client.endpoint.now(),
+                        (client.endpoint.tx_stats(), shell.endpoint.tx_stats()),
+                        (shell.corrupt_frames(), shell.replayed()),
+                    )
+                });
+                prop_assert_eq!(a, b, "command {i} (kind {kind})");
+                prop_assert_eq!(&event.2, &per_tick.2, "handler state after command {i}");
+            }
+        }
     }
 }
