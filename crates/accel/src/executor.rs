@@ -18,6 +18,11 @@
 //! * **Random** — the product is XOR-corrupted in its low bits, which after
 //!   `tanh` saturation ruins that output element.
 //!
+//! One function applies both species to a product, against one ring of
+//! per-PE P registers; [`crate::dsp::characterize`] runs the same one for
+//! the Fig. 6b fault rates. The [`trace::Event::MacFault`] event is
+//! emitted by the inference loops here, not by the shared function.
+//!
 //! Pooling runs in fabric LUTs with large timing slack; it only faults at
 //! droops far deeper than the striker produces (see
 //! [`pool_fault_model`]), so strikes timed into `pool1` mostly waste
@@ -198,15 +203,15 @@ fn run_conv(
                                 // late product misses its slot, so
                                 // duplication faults corrupt conv outputs
                                 // unconditionally.
+                                let fault = hook.fault(stage_index, op, wv, xv);
+                                trace_fault(stage_index, op, fault);
                                 acc = acc.wrapping_add(apply_fault(
                                     product,
-                                    hook.fault(stage_index, op, wv, xv),
+                                    fault,
                                     false,
                                     last_products,
                                     rng,
                                     tally,
-                                    stage_index,
-                                    op,
                                 ));
                                 op += 1;
                             }
@@ -253,15 +258,15 @@ fn run_dense(
                 // product still lands next cycle ("absorbed by more serial
                 // summations"), so only a duplication at the fetch deadline
                 // (the chain's last op) leaves a stale value.
+                let fault = hook.fault(stage_index, op, *wv, *xv);
+                trace_fault(stage_index, op, fault);
                 acc = acc.wrapping_add(apply_fault(
                     product,
-                    hook.fault(stage_index, op, *wv, *xv),
+                    fault,
                     k + 1 < d.inputs,
                     last_products,
                     rng,
                     tally,
-                    stage_index,
-                    op,
                 ));
             }
             acc
@@ -317,9 +322,9 @@ impl SparseOps {
 }
 
 /// Ring of the last product each PE produced (round-robin issue over
-/// [`PE_COUNT`] DSPs).
+/// [`PE_COUNT`] DSPs): the P registers a duplication fault re-captures.
 #[derive(Debug, Clone, Default)]
-struct DupRing {
+pub(crate) struct DupRing {
     ring: [i32; PE_COUNT],
     pos: usize,
 }
@@ -346,26 +351,8 @@ impl DupRing {
     }
 }
 
-/// Applies one fault decision to a product inside an accumulation chain.
-///
-/// Duplication faults are the "result arrives one cycle late" species.
-/// When `absorbed` is true (mid-chain op of a *serial* accumulation, i.e. a
-/// dense stage), the late product still lands next cycle and the sum is
-/// unharmed — the paper's "absorbed by more serial summations". Otherwise
-/// (conv adder trees, or a fetch-deadline op) the stale previous product is
-/// summed instead. Random faults corrupt unconditionally.
-#[allow(clippy::too_many_arguments)]
-fn apply_fault(
-    product: i32,
-    fault: MacFault,
-    absorbed: bool,
-    last_products: &mut DupRing,
-    rng: &mut impl Rng,
-    tally: &mut AppliedFaults,
-    stage_index: usize,
-    op_index: u64,
-) -> i32 {
-    let stale = last_products.exchange(product);
+/// Emits the trace event of one faulted op.
+fn trace_fault(stage_index: usize, op_index: u64, fault: MacFault) {
     if fault != MacFault::None {
         trace::emit(|| trace::Event::MacFault {
             stage: stage_index as u32,
@@ -376,6 +363,28 @@ fn apply_fault(
             },
         });
     }
+}
+
+/// Applies one fault decision to a product inside an accumulation chain:
+/// what the DSP hands the accumulator. Inference and the Fig. 6b
+/// characterisation ([`crate::dsp::characterize`]) both go through here.
+///
+/// Duplication faults are the "result arrives one cycle late" species.
+/// When `absorbed` is true (mid-chain op of a *serial* accumulation, i.e. a
+/// dense stage), the late product still lands next cycle and the sum is
+/// unharmed — the paper's "absorbed by more serial summations". Otherwise
+/// (conv adder trees, or a fetch-deadline op) the stale previous product of
+/// the same PE is summed instead. Random faults corrupt the low 16 bits
+/// unconditionally.
+pub(crate) fn apply_fault(
+    product: i32,
+    fault: MacFault,
+    absorbed: bool,
+    last_products: &mut DupRing,
+    rng: &mut impl Rng,
+    tally: &mut AppliedFaults,
+) -> i32 {
+    let stale = last_products.exchange(product);
     match fault {
         MacFault::None => product,
         MacFault::Duplicate => {

@@ -26,12 +26,12 @@
 //!
 //! Because `u` is uniform, closed-form per-op probabilities exist
 //! ([`FaultModel::probabilities`]); the simulators *sample* the same
-//! distribution, so statistical and cycle modes agree (tested in the
-//! integration suite). There is one sampler body,
-//! [`FaultModel::sample_pipelined_factors`]: the cycle-level DSP slice
-//! reaches it through [`FaultModel::sample_pipelined_scaled`], which prices
-//! its two voltages first, and the attack scorer calls it with delay
-//! factors priced once per recorded run.
+//! distribution, so the closed form, the Fig. 6b characterisation and the
+//! executor agree (tested in the integration suite). There is one sampler
+//! body, [`FaultModel::sample_pipelined_factors`]: the characterisation
+//! ([`crate::dsp::characterize`]) and the attack scorer call it with delay
+//! factors priced once, and [`FaultModel::sample_pipelined_scaled`] prices
+//! two voltages first.
 
 use pdn::delay;
 use rand::Rng;
@@ -336,6 +336,48 @@ mod tests {
         let rnd_rate = rnd as f64 / n as f64;
         assert!((dup_rate - p.duplicate).abs() < 0.02, "dup {dup_rate} vs {}", p.duplicate);
         assert!((rnd_rate - p.random).abs() < 0.02, "rand {rnd_rate} vs {}", p.random);
+    }
+
+    /// Runs 400 single-op trials of the sampler with the rail at
+    /// `capture` on the capture edge and at worst `in_flight` over the
+    /// op's flight, and returns `(duplicate, random)` counts.
+    fn glitch_trials(capture: f64, in_flight: f64) -> (usize, usize) {
+        let m = FaultModel::paper();
+        let (fc, ff) = (delay::factor(capture), delay::factor(in_flight));
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut dup, mut rnd) = (0, 0);
+        for trial in 0..400 {
+            let scale = FaultModel::path_scale((trial + 1) * 3);
+            match m.sample_pipelined_factors(fc, ff, scale, &mut rng) {
+                MacFault::Duplicate => dup += 1,
+                MacFault::Random => rnd += 1,
+                MacFault::None => {}
+            }
+        }
+        (dup, rnd)
+    }
+
+    #[test]
+    fn capture_edge_glitch_faults_reliably() {
+        // A deep glitch on the capture edge (the critical stage) faults
+        // nearly every op; at nominal voltage nothing faults.
+        let (dup, rnd) = glitch_trials(0.72, 0.72);
+        assert!(dup + rnd > 360, "glitched faults {}", dup + rnd);
+        assert_eq!(glitch_trials(1.0, 1.0), (0, 0));
+    }
+
+    #[test]
+    fn mid_flight_glitch_needs_deeper_droop_and_randomises() {
+        // The non-capture stages carry extra slack: a moderate mid-flight
+        // glitch is harmless, a deep one corrupts the cone (random fault).
+        assert_eq!(
+            glitch_trials(1.0, 0.84),
+            (0, 0),
+            "moderate mid-flight glitch must be absorbed by stage slack"
+        );
+        let (dup, rnd) = glitch_trials(1.0, 0.62);
+        assert!(rnd > 200, "deep mid-flight faults {rnd}");
+        assert_eq!(dup, 0, "mid-cone corruption is always random");
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! fetch-after-five-cycles result path, clocked double data rate. This
 //! crate models that machine at the level the attack interacts with it:
 //!
-//! * [`dsp`] — one DSP slice as a five-stage pipeline whose capture
-//!   behaviour depends on the rail voltage seen in flight.
+//! * [`dsp`] — the `(A + D) × B` op and the Fig. 6b fault
+//!   characterisation, which applies faults through the executor's own
+//!   datapath.
 //! * [`fault`] — the voltage → {duplication, random} fault model (§IV-A),
 //!   with closed-form probabilities and a sampling path that agree.
-//! * [`pe`] — a DSP array with round-robin issue, driving the Fig. 6b
-//!   characterisation.
 //! * [`schedule`] — per-layer cycle windows with conv-compute-bound /
 //!   FC-bandwidth-bound throughput, reproducing the paper's layer-duration
 //!   ordering (FC1 longest; CONV2 the longest conv).
@@ -22,15 +21,13 @@
 //! # Example: fault characterisation at a fixed droop
 //!
 //! ```
-//! use accel::dsp::DspOp;
+//! use accel::dsp::{characterize, DspOp};
 //! use accel::fault::FaultModel;
-//! use accel::pe::PeArray;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let mut pe = PeArray::new(8, FaultModel::paper());
 //! let ops = (0..2000).map(|i| DspOp { a: i, b: 7, d: 3 });
-//! let tally = pe.characterize(ops, 0.83, &mut rng);
+//! let tally = characterize(&FaultModel::paper(), ops, 0.83, &mut rng);
 //! assert!(tally.total_fault_rate() > 0.0);
 //! ```
 
@@ -39,6 +36,5 @@
 pub mod dsp;
 pub mod executor;
 pub mod fault;
-pub mod pe;
 pub mod power;
 pub mod schedule;

@@ -1,9 +1,8 @@
 //! Criterion benchmarks of the attack pipeline stages, including the
 //! DDR-vs-SDR ablation called out in DESIGN.md.
 
-use accel::dsp::DspOp;
+use accel::dsp::{characterize, DspOp};
 use accel::fault::{DspTiming, FaultModel};
-use accel::pe::PeArray;
 use accel::schedule::{AccelConfig, Schedule};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deepstrike::cosim::{CloudFpga, CosimConfig};
@@ -59,10 +58,9 @@ fn bench_ddr_ablation(c: &mut Criterion) {
         group.bench_function(name, |b| {
             let model = FaultModel::new(timing);
             b.iter(|| {
-                let mut pe = PeArray::new(8, model);
                 let mut rng = StdRng::seed_from_u64(1);
                 let ops = (0..512).map(|i| DspOp { a: 100 + (i % 27), b: 120, d: 7 });
-                black_box(pe.characterize(ops, 0.80, &mut rng).total_fault_rate())
+                black_box(characterize(&model, ops, 0.80, &mut rng).total_fault_rate())
             });
         });
     }

@@ -6,7 +6,7 @@
 //! `BENCHMARK.json`:
 //! `cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload <w>`.
 
-use accel::dsp::{DspOp, DspSlice};
+use accel::dsp::{characterize, DspOp};
 use accel::fault::FaultModel;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deepstrike::striker::StrikerBank;
@@ -70,26 +70,16 @@ fn bench_tdc(c: &mut Criterion) {
 }
 
 fn bench_dsp(c: &mut Criterion) {
-    c.bench_function("dsp/issue_tick_nominal", |b| {
-        let mut dsp = DspSlice::new(FaultModel::paper());
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut i = 0i32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            dsp.issue(DspOp { a: i & 0x7F, b: 101, d: 3 });
-            black_box(dsp.tick(1.0, &mut rng))
+    let model = FaultModel::paper();
+    for (name, v) in [("dsp/characterize_nominal", 1.0), ("dsp/characterize_glitched", 0.80)] {
+        c.bench_function(name, |b| {
+            let mut rng = StdRng::seed_from_u64(0);
+            b.iter(|| {
+                let ops = (0..512).map(|i| DspOp { a: i & 0x7F, b: 101, d: 3 });
+                black_box(characterize(&model, ops, black_box(v), &mut rng))
+            });
         });
-    });
-    c.bench_function("dsp/issue_tick_glitched", |b| {
-        let mut dsp = DspSlice::new(FaultModel::paper());
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut i = 0i32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            dsp.issue(DspOp { a: i & 0x7F, b: 101, d: 3 });
-            black_box(dsp.tick(0.80, &mut rng))
-        });
-    });
+    }
 }
 
 fn bench_quant_inference(c: &mut Criterion) {

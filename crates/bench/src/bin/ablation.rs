@@ -8,9 +8,8 @@
 //! 3. **DDR vs SDR DSP clocking** — §IV blames double-data-rate timing for
 //!    DSP vulnerability; compare fault rates at the same droop.
 
-use accel::dsp::DspOp;
+use accel::dsp::{characterize, DspOp};
 use accel::fault::{DspTiming, FaultModel};
-use accel::pe::PeArray;
 use bench::{emit_series, HARNESS_SEED};
 use deepstrike::striker::StrikerBank;
 use pdn::grid::SpatialPdn;
@@ -51,10 +50,9 @@ fn main() {
     let durations = [1usize, 2, 4, 8, 16];
     let duration_points = par::map_items(&durations, |&on_cycles| {
         let (v_min, energy_j) = strike_droop(8_000, on_cycles, 0.88);
-        let mut pe = PeArray::new(8, model);
         let mut rng = StdRng::seed_from_u64(HARNESS_SEED);
         let ops = (0..5_000).map(|i| DspOp { a: 100 + (i % 27), b: 120, d: 7 });
-        let rate = pe.characterize(ops, v_min, &mut rng).total_fault_rate();
+        let rate = characterize(&model, ops, v_min, &mut rng).total_fault_rate();
         // Heating if this strike repeated at a 50% duty cycle for 10 ms.
         let mut thermal = ThermalModel::new();
         let avg_power = energy_j / (on_cycles as f64 * 10e-9) * 0.5;
@@ -95,7 +93,6 @@ fn main() {
     let clockings = [("ddr", DspTiming::paper_ddr()), ("sdr", DspTiming::paper_sdr())];
     let clocking_points = par::map_items(&clockings, |&(name, timing)| {
         let m = FaultModel::new(timing);
-        let mut pe = PeArray::new(8, m);
         let mut rng = StdRng::seed_from_u64(HARNESS_SEED);
         let mut op_rng = StdRng::seed_from_u64(1);
         let ops = (0..10_000).map(|_| DspOp {
@@ -103,7 +100,7 @@ fn main() {
             b: op_rng.gen_range(-128..128),
             d: op_rng.gen_range(-128..128),
         });
-        let rate = pe.characterize(ops, 0.80, &mut rng).total_fault_rate();
+        let rate = characterize(&m, ops, 0.80, &mut rng).total_fault_rate();
         (rate, format!("{name},{:.0},{rate:.4}", timing.budget_ps))
     });
     let rates: Vec<f64> = clocking_points.iter().map(|(r, _)| *r).collect();

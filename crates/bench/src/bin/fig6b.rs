@@ -6,9 +6,8 @@
 //! duplication faults rise first, then hand over to random faults as the
 //! droop deepens; the total fault rate reaches ≈ 100% by 24,000 cells.
 
-use accel::dsp::DspOp;
+use accel::dsp::{characterize, DspOp};
 use accel::fault::FaultModel;
-use accel::pe::PeArray;
 use bench::{emit_series, HARNESS_SEED};
 use deepstrike::striker::StrikerBank;
 use pdn::rlc::LumpedPdn;
@@ -62,8 +61,7 @@ fn main() {
     let results = bench::supervisor::supervised_sweep("fig6b", &sweep, |&cells| {
         let v = strike_voltage(cells);
         let mut rng = StdRng::seed_from_u64(HARNESS_SEED ^ cells as u64);
-        let mut pe = PeArray::new(8, model);
-        let tally = pe.characterize(ops.iter().copied(), v, &mut rng);
+        let tally = characterize(&model, ops.iter().copied(), v, &mut rng);
         (v, tally.duplicate_rate(), tally.random_rate(), tally.total_fault_rate())
     });
 

@@ -16,7 +16,8 @@
 //! | `DEEPSTRIKE_ABORT_AFTER_SLICES` | simulated crash: exit(3) after N slices (CI smoke) |
 //!
 //! Without `DEEPSTRIKE_CHECKPOINT_DIR` the supervisor degrades to a
-//! plain panic-isolated sweep — no files are touched.
+//! plain panic-isolated sweep over the whole grid at once — no files are
+//! touched.
 //!
 //! Quarantined (panicking) items are *not* persisted as completed: a
 //! resume retries them, and if they fail deterministically they are
@@ -208,7 +209,8 @@ fn env_usize(name: &str) -> Option<usize> {
 
 /// The env-driven entry point for the figure binaries: reads
 /// [`CHECKPOINT_DIR_ENV`] / [`ABORT_AFTER_ENV`], runs the supervised
-/// sweep in `SLICE_LEN`-point slices, reports quarantined points on
+/// sweep in `SLICE_LEN`-point slices (the whole grid as one slice when
+/// no checkpoint directory is set), reports quarantined points on
 /// stderr and returns the per-item results (`None` at quarantined
 /// indices).
 ///
@@ -226,7 +228,10 @@ where
         CheckpointStore::new(dir, name)
             .unwrap_or_else(|e| panic!("checkpoint store for {name}: {e}"))
     });
-    let outcome = run_sliced(items, f, store.as_mut(), SLICE_LEN, abort_after);
+    // Slices only bound the work a crash loses; with nothing to persist,
+    // one slice keeps every point in flight at once.
+    let slice_len = if store.is_some() { SLICE_LEN } else { items.len() };
+    let outcome = run_sliced(items, f, store.as_mut(), slice_len, abort_after);
     match outcome {
         SweepRun::Aborted { completed, generation } => {
             eprintln!(

@@ -16,7 +16,7 @@
 //! of strikes uniformly over the whole inference instead of into the
 //! target layer ([`plan_blind`]).
 
-use accel::dsp::DspSlice;
+use accel::dsp;
 use accel::executor::{infer_with_faults, MacHook};
 use accel::fault::{FaultModel, MacFault};
 use accel::schedule::{LayerWindow, Schedule, StageKind};
@@ -78,10 +78,14 @@ pub fn profile_victim(
 ///
 /// Returns [`DeepStrikeError::LayerNotFound`] if segmentation does not
 /// produce one segment per expected layer, and
-/// [`DeepStrikeError::InvalidConfig`] when `traces` is empty.
+/// [`DeepStrikeError::InvalidConfig`] when `traces` or `layer_names` is
+/// empty.
 pub fn profile_from_traces(traces: &[Vec<u8>], layer_names: &[&str]) -> Result<VictimProfile> {
     if traces.is_empty() {
         return Err(DeepStrikeError::InvalidConfig("at least one trace required".into()));
+    }
+    if layer_names.is_empty() {
+        return Err(DeepStrikeError::InvalidConfig("at least one layer name required".into()));
     }
     let mut library = SignatureLibrary::new();
     let mut sums: Vec<(u64, u64)> = vec![(0, 0); layer_names.len()];
@@ -329,8 +333,8 @@ pub struct StrikeHook<'a> {
 
 impl<'a> StrikeHook<'a> {
     /// DSP pipeline latency assumed for the in-flight window, in cycles:
-    /// the slice's issue-to-capture pipeline.
-    pub const LATENCY: u64 = DspSlice::LATENCY as u64;
+    /// the DSP's issue-to-capture latency ([`dsp::LATENCY`]).
+    pub const LATENCY: u64 = dsp::LATENCY as u64;
 
     /// Path-length scale of accumulate-dominated (dense) DSP ops.
     pub const DENSE_PATH_SCALE: f64 = 0.85;
@@ -581,6 +585,14 @@ mod tests {
         let mut fpga = platform(8_000, &q);
         let err = profile_victim(&mut fpga, &["a", "b", "c", "d", "e"], 1).unwrap_err();
         assert!(matches!(err, DeepStrikeError::LayerNotFound(_)));
+    }
+
+    #[test]
+    fn empty_layer_names_are_rejected() {
+        // A flat trace has no segment, so the layer-count check alone
+        // would pass and leave nothing to take the trigger from.
+        let err = profile_from_traces(&[vec![90u8; 400]], &[]).unwrap_err();
+        assert!(matches!(err, DeepStrikeError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

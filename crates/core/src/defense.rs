@@ -13,28 +13,16 @@
 //!   striker at compile time, the FPGADefender-style scanner the paper
 //!   lists as the countermeasure that would break its DRC evasion.
 
-use crate::error::{DeepStrikeError, Result};
-
-/// Watchdog configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Alarm when the readout falls at least this much below the rolling
-    /// baseline within [`WatchdogConfig::window`] samples.
-    pub droop_counts: u8,
-    /// Transient window in samples: the victim's own layer activity ramps
-    /// over hundreds of samples, a striker glitch within a handful.
-    pub window: usize,
-    /// Samples of the rolling baseline.
-    pub baseline_window: usize,
-    /// Consecutive alarm-worthy samples required (debounce).
-    pub debounce: u8,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig { droop_counts: 12, window: 4, baseline_window: 64, debounce: 1 }
-    }
-}
+/// Alarm when the readout falls at least this many counts below the
+/// rolling baseline within [`WINDOW`] samples.
+const DROOP_COUNTS: u8 = 12;
+/// Transient window in samples: the victim's own layer activity ramps
+/// over hundreds of samples, a striker glitch within a handful.
+const WINDOW: usize = 4;
+/// Samples of the rolling baseline.
+const BASELINE_WINDOW: usize = 64;
+/// Consecutive alarm-worthy samples required (debounce).
+const DEBOUNCE: u8 = 1;
 
 /// A detected glitch event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,18 +45,16 @@ pub struct GlitchEvent {
 /// # Example
 ///
 /// ```
-/// use deepstrike::defense::{GlitchWatchdog, WatchdogConfig};
+/// use deepstrike::defense::GlitchWatchdog;
 ///
-/// let mut dog = GlitchWatchdog::new(WatchdogConfig::default())?;
+/// let mut dog = GlitchWatchdog::new();
 /// for _ in 0..100 { dog.push(88); }      // quiet baseline
 /// assert!(dog.events().is_empty());
 /// dog.push(70);                          // 18-count collapse in one sample
 /// assert_eq!(dog.events().len(), 1);
-/// # Ok::<(), deepstrike::DeepStrikeError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GlitchWatchdog {
-    config: WatchdogConfig,
     history: Vec<u8>,
     samples_seen: u64,
     consecutive: u8,
@@ -79,27 +65,8 @@ pub struct GlitchWatchdog {
 
 impl GlitchWatchdog {
     /// Creates an idle watchdog.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepStrikeError::InvalidConfig`] for degenerate windows.
-    pub fn new(config: WatchdogConfig) -> Result<Self> {
-        if config.window == 0 || config.baseline_window <= config.window {
-            return Err(DeepStrikeError::InvalidConfig(
-                "baseline window must exceed the transient window".into(),
-            ));
-        }
-        if config.debounce == 0 {
-            return Err(DeepStrikeError::InvalidConfig("debounce must be at least 1".into()));
-        }
-        Ok(GlitchWatchdog {
-            config,
-            history: Vec::new(),
-            samples_seen: 0,
-            consecutive: 0,
-            events: Vec::new(),
-            cooldown: 0,
-        })
+    pub fn new() -> Self {
+        GlitchWatchdog::default()
     }
 
     /// Detected events so far.
@@ -111,13 +78,13 @@ impl GlitchWatchdog {
     /// glitch samples themselves).
     fn baseline(&self) -> Option<u8> {
         let n = self.history.len();
-        if n < self.config.baseline_window {
+        if n < BASELINE_WINDOW {
             return None;
         }
         // Lag the window by the transient width so an in-progress glitch
         // does not drag its own baseline down.
-        let end = n - self.config.window;
-        let start = end.saturating_sub(self.config.baseline_window - self.config.window);
+        let end = n - WINDOW;
+        let start = end.saturating_sub(BASELINE_WINDOW - WINDOW);
         let mut window: Vec<u8> = self.history[start..end].to_vec();
         window.sort_unstable();
         Some(window[window.len() / 2])
@@ -129,8 +96,8 @@ impl GlitchWatchdog {
         self.samples_seen += 1;
         let baseline = self.baseline();
         self.history.push(readout);
-        if self.history.len() > 4 * self.config.baseline_window {
-            self.history.drain(..2 * self.config.baseline_window);
+        if self.history.len() > 4 * BASELINE_WINDOW {
+            self.history.drain(..2 * BASELINE_WINDOW);
         }
         if self.cooldown > 0 {
             self.cooldown -= 1;
@@ -139,13 +106,13 @@ impl GlitchWatchdog {
         let Some(baseline) = baseline else {
             return false;
         };
-        let dropped = baseline.saturating_sub(readout) >= self.config.droop_counts;
+        let dropped = baseline.saturating_sub(readout) >= DROOP_COUNTS;
         if dropped {
             self.consecutive += 1;
-            if self.consecutive >= self.config.debounce {
+            if self.consecutive >= DEBOUNCE {
                 self.events.push(GlitchEvent { sample: self.samples_seen - 1, readout, baseline });
                 self.consecutive = 0;
-                self.cooldown = self.config.window * 2;
+                self.cooldown = WINDOW * 2;
                 return true;
             }
         } else {
@@ -156,17 +123,16 @@ impl GlitchWatchdog {
 
     /// Runs the watchdog over a whole recorded trace and returns the
     /// detected events.
-    pub fn scan(config: WatchdogConfig, trace: &[u8]) -> Result<Vec<GlitchEvent>> {
-        let mut dog = GlitchWatchdog::new(config)?;
+    pub fn scan(trace: &[u8]) -> Vec<GlitchEvent> {
+        let mut dog = GlitchWatchdog::new();
         for &s in trace {
             dog.push(s);
         }
-        Ok(dog.events)
+        dog.events
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -184,8 +150,7 @@ mod tests {
 
     #[test]
     fn detects_a_strike_glitch() {
-        let events =
-            GlitchWatchdog::scan(WatchdogConfig::default(), &quiet_then_glitch(300, 18)).unwrap();
+        let events = GlitchWatchdog::scan(&quiet_then_glitch(300, 18));
         assert_eq!(events.len(), 1, "{events:?}");
         assert!((298..=303).contains(&events[0].sample));
         assert!(events[0].baseline > events[0].readout);
@@ -199,14 +164,13 @@ mod tests {
         for (i, s) in t.iter_mut().enumerate().skip(150).take(200) {
             *s = 88 - ((i - 150) / 40).min(5) as u8;
         }
-        let events = GlitchWatchdog::scan(WatchdogConfig::default(), &t).unwrap();
+        let events = GlitchWatchdog::scan(&t);
         assert!(events.is_empty(), "{events:?}");
     }
 
     #[test]
     fn shallow_glitches_below_threshold_pass() {
-        let events =
-            GlitchWatchdog::scan(WatchdogConfig::default(), &quiet_then_glitch(300, 8)).unwrap();
+        let events = GlitchWatchdog::scan(&quiet_then_glitch(300, 8));
         assert!(events.is_empty());
     }
 
@@ -218,23 +182,13 @@ mod tests {
                 *s = 70;
             }
         }
-        let events = GlitchWatchdog::scan(WatchdogConfig::default(), &t).unwrap();
+        let events = GlitchWatchdog::scan(&t);
         assert_eq!(events.len(), 3, "{events:?}");
     }
 
     #[test]
-    fn invalid_configs_rejected() {
-        let bad = WatchdogConfig { window: 0, ..WatchdogConfig::default() };
-        assert!(GlitchWatchdog::new(bad).is_err());
-        let bad = WatchdogConfig { baseline_window: 4, window: 4, ..WatchdogConfig::default() };
-        assert!(GlitchWatchdog::new(bad).is_err());
-        let bad = WatchdogConfig { debounce: 0, ..WatchdogConfig::default() };
-        assert!(GlitchWatchdog::new(bad).is_err());
-    }
-
-    #[test]
     fn needs_a_baseline_before_alarming() {
-        let mut dog = GlitchWatchdog::new(WatchdogConfig::default()).unwrap();
+        let mut dog = GlitchWatchdog::new();
         // Immediate glitch in the warm-up phase: no baseline yet, no alarm.
         for _ in 0..10 {
             assert!(!dog.push(60));

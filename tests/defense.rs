@@ -3,7 +3,7 @@
 use accel::schedule::AccelConfig;
 use deepstrike::attack::{plan_attack, profile_victim};
 use deepstrike::cosim::{CloudFpga, CosimConfig};
-use deepstrike::defense::{GlitchWatchdog, WatchdogConfig};
+use deepstrike::defense::GlitchWatchdog;
 use deepstrike::hypervisor::{deploy, deploy_with_policy};
 use deepstrike::striker::StrikerBank;
 use deepstrike::tdc::TdcSensor;
@@ -41,7 +41,7 @@ fn watchdog_detects_a_real_strike_campaign() {
     let attacked = fpga.run_inference();
     assert_eq!(attacked.strike_cycles.len(), 30);
 
-    let events = GlitchWatchdog::scan(WatchdogConfig::default(), &attacked.tdc_trace).unwrap();
+    let events = GlitchWatchdog::scan(&attacked.tdc_trace);
     assert!(
         events.len() >= 10,
         "watchdog must flag a large share of the 30 strikes, got {}",
@@ -53,7 +53,7 @@ fn watchdog_detects_a_real_strike_campaign() {
 fn watchdog_is_quiet_during_clean_execution() {
     let mut fpga = platform(14_000);
     let clean = fpga.run_inference();
-    let events = GlitchWatchdog::scan(WatchdogConfig::default(), &clean.tdc_trace).unwrap();
+    let events = GlitchWatchdog::scan(&clean.tdc_trace);
     assert!(events.is_empty(), "no strikes fired, but the watchdog flagged {:?}", events);
 }
 
