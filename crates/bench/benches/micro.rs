@@ -35,6 +35,22 @@ fn bench_pdn(c: &mut Criterion) {
         grid.inject(node, 1.0);
         b.iter(|| black_box(grid.step(1e-9)));
     });
+    // The cosim's whole victim cycle: 10 substeps read at the victim and
+    // attacker nodes, as `CloudFpga::step_cycle` drives the mesh.
+    c.bench_function("pdn/cycle_10_substeps", |b| {
+        let mut grid = SpatialPdn::new();
+        let victim = grid.node_at_fraction(0.12, 0.5);
+        let attacker = grid.node_at_fraction(0.88, 0.5);
+        grid.inject(victim, 1.0);
+        b.iter(|| {
+            let mut v_min = f64::INFINITY;
+            grid.run_cycle(1e-9, 10, [victim, attacker], |[v_victim, v_attacker]| {
+                v_min = v_min.min(v_victim);
+                black_box(v_attacker);
+            });
+            black_box(v_min)
+        });
+    });
 }
 
 fn bench_conv(c: &mut Criterion) {

@@ -214,9 +214,7 @@ impl CloudFpga {
         let dt = self.substep_dt();
         for _ in 0..cycles {
             self.pdn.inject(self.victim_node, power::IDLE_A);
-            for _ in 0..self.config.pdn_substeps {
-                self.pdn.step(dt);
-            }
+            self.pdn.run_cycle(dt, self.config.pdn_substeps, [], |_| {});
         }
     }
 
@@ -274,18 +272,22 @@ impl CloudFpga {
             self.pdn.inject(node, if on { b.amps } else { 0.0 });
         }
 
-        // Advance the mesh; sample TDC mid-cycle and at cycle end.
+        // Advance the mesh a whole cycle; take the worst victim voltage
+        // and sample the TDC mid-cycle and at cycle end.
         let mut v_victim_min = f64::INFINITY;
-        for s in 0..substeps {
-            self.pdn.step(dt);
-            v_victim_min = v_victim_min.min(self.pdn.voltage_at(self.victim_node));
-            if (s + 1) % tdc_every == 0 {
-                let reading = self.tdc.sample(self.pdn.voltage_at(self.attacker_node));
+        let mut s = 0;
+        let (tdc, trace_buf) = (&mut self.tdc, &mut self.trace_buf);
+        let probes = [self.victim_node, self.attacker_node];
+        self.pdn.run_cycle(dt, substeps, probes, |[v_victim, v_attacker]| {
+            v_victim_min = v_victim_min.min(v_victim);
+            s += 1;
+            if s % tdc_every == 0 {
+                let reading = tdc.sample(v_attacker);
                 rec.tdc_trace.push(reading.count);
-                self.buffer_readout(reading.count);
+                buffer_readout(trace_buf, reading.count);
                 rec.last_raw = Some(reading.raw);
             }
-        }
+        });
         rec.victim_voltage.push(v_victim_min);
 
         // Thermal integration (victim + striker dissipation).
@@ -295,15 +297,6 @@ impl CloudFpga {
         if let Some(powers) = rec.powers.as_mut() {
             powers.push(power);
         }
-    }
-
-    /// Appends one readout to the UART ring buffer, dropping the oldest
-    /// sample once it holds [`TRACE_CAPACITY`].
-    pub(crate) fn buffer_readout(&mut self, count: u8) {
-        if self.trace_buf.len() == TRACE_CAPACITY {
-            self.trace_buf.pop_front();
-        }
-        self.trace_buf.push_back(count);
     }
 
     /// Runs the post-loop conformance pass and packages the recording.
@@ -339,6 +332,15 @@ impl CloudFpga {
             && self.thermal == other.thermal
             && self.bystanders == other.bystanders
     }
+}
+
+/// Appends one readout to a platform's UART ring buffer, dropping the
+/// oldest sample once it holds [`TRACE_CAPACITY`].
+pub(crate) fn buffer_readout(trace_buf: &mut VecDeque<u8>, count: u8) {
+    if trace_buf.len() == TRACE_CAPACITY {
+        trace_buf.pop_front();
+    }
+    trace_buf.push_back(count);
 }
 
 /// Per-run recording state for the cycle loop, factored out of

@@ -26,7 +26,9 @@
 //!    exactly 0.0 A, and the warm-started Gauss–Seidel relaxation is
 //!    contracting, and each sweep is a deterministic map of the mesh
 //!    state, so a sweep that leaves every node bit-unchanged pins the mesh
-//!    (`pdn::grid`'s `settled_mesh_is_a_bitwise_fixed_point`). A few
+//!    (`pdn::grid`'s `settled_mesh_is_a_bitwise_fixed_point`); the
+//!    per-cycle wavefront runs the same sweeps in the same order, only
+//!    fused, so the premise holds cycle by cycle. A few
 //!    hundred cycles after a candidate's last strike the mesh state
 //!    therefore becomes *bitwise equal* to the reference pass and stays
 //!    that way. The reference pass stores a `RejoinCheck` (mesh state +
@@ -53,10 +55,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use pdn::grid::SpatialPdn;
+use pdn::grid::{MeshState, SpatialPdn};
 use pdn::thermal::ThermalModel;
 
-use crate::cosim::{CloudFpga, InferenceRun, RunRecorder};
+use crate::cosim::{buffer_readout, CloudFpga, InferenceRun, RunRecorder};
 use crate::error::Result;
 use crate::scheduler::AttackScheduler;
 use crate::signal_ram::{AttackScheme, SchemeProgram, CAPACITY_BITS};
@@ -76,7 +78,7 @@ const CHECK_EVERY: u64 = 32;
 /// Full platform state at the start of a cycle, plus the carried
 /// recorder state that lives outside [`CloudFpga`].
 ///
-/// `fpga` here and `RejoinCheck::pdn` are boxed. Inline, an engine's
+/// `fpga` here and `RejoinCheck::mesh` are boxed. Inline, an engine's
 /// ~100 forks and ~1,600 checks on LeNet make each vector one multi-MiB
 /// allocation, and freeing it raises glibc's dynamic mmap threshold, so
 /// later large buffers stay in the heap and peak RSS grows.
@@ -91,10 +93,13 @@ struct ForkPoint {
     triggered: Option<u64>,
 }
 
-/// Reference-pass state a finished candidate can bitwise-rejoin.
+/// Reference-pass state a finished candidate can bitwise-rejoin. The
+/// mesh is kept as a row-major [`MeshState`] (~2.6 KiB), half the padded
+/// plane a live [`SpatialPdn`] holds, and a suffix compares against it
+/// with [`SpatialPdn::matches`].
 struct RejoinCheck {
     cycle: u64,
-    pdn: Box<SpatialPdn>,
+    mesh: Box<MeshState>,
     last_raw: Option<u128>,
 }
 
@@ -202,7 +207,7 @@ impl SnapshotEngine {
             if cycle % CHECK_EVERY == 0 {
                 checks.push(RejoinCheck {
                     cycle,
-                    pdn: Box::new(sentinel_pass.pdn.clone()),
+                    mesh: Box::new(sentinel_pass.pdn.state()),
                     last_raw: rec.last_raw,
                 });
             }
@@ -356,7 +361,7 @@ impl SnapshotEngine {
             {
                 let check = &self.checks[(cycle / CHECK_EVERY) as usize];
                 debug_assert_eq!(check.cycle, cycle);
-                if check.last_raw == rec.last_raw && *check.pdn == fpga.pdn {
+                if check.last_raw == rec.last_raw && fpga.pdn.matches(&check.mesh) {
                     self.counters.rejoined.fetch_add(1, Ordering::Relaxed);
                     self.counters.suffix_cycles.fetch_add(cycle - fork.cycle, Ordering::Relaxed);
                     return Ok(self.splice(fork.cycle, cycle, rec, fpga));
@@ -524,7 +529,7 @@ impl RunMemo {
                     // Append the readout samples with the same capacity
                     // trimming the live loop performs.
                     for &sample in &entry.run.tdc_trace {
-                        fpga.buffer_readout(sample);
+                        buffer_readout(&mut fpga.trace_buf, sample);
                     }
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return entry.run.clone();

@@ -11,7 +11,8 @@
 //! * [`grid`] — a spatial RC mesh layered on top of the lumped model, so a
 //!   current transient injected in the attacker's region is seen attenuated
 //!   in the victim's region depending on floorplan distance. Its 16×10
-//!   node state lives in fixed arrays relaxed by one Gauss–Seidel loop,
+//!   node state lives in a zero-padded diagonal-major plane that one
+//!   Gauss–Seidel wavefront relaxes for a whole victim cycle per call,
 //!   and a [`grid::NodeId`] comes only from
 //!   [`grid::SpatialPdn::node_at_fraction`], so injecting at a node and
 //!   reading it back cannot fail.
