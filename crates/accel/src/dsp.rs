@@ -7,18 +7,19 @@
 //! "10,000 randomly generated inputs" through the PE array while striking
 //! and counts what the P registers captured.
 //!
-//! [`characterize`] runs that harness at a constant rail voltage through
-//! the executor's own fault application: ops issue round-robin over the
-//! [`PE_COUNT`](crate::schedule::PE_COUNT) DSPs, the [`FaultModel`] decides
-//! each op's fate at capture, and a duplication fault captures the same
-//! PE's previous product — one definition of a faulted DSP for both the
-//! fault-rate figure and inference under strikes.
+//! [`characterize`] runs that harness at a constant rail voltage, op by
+//! op: ops issue round-robin over the [`PE_COUNT`] DSPs, the
+//! [`FaultModel`] samples each op's fate at capture, and a duplication
+//! fault captures the same PE's previous product from the [`DupRing`] —
+//! the semantics the executor ([`crate::executor`]) applies as accumulator
+//! corrections during inference under strikes.
 
 use pdn::delay;
 use rand::Rng;
 
-use crate::executor::{apply_fault, AppliedFaults, DupRing};
-use crate::fault::FaultModel;
+use crate::executor::AppliedFaults;
+use crate::fault::{FaultModel, MacFault};
+use crate::schedule::PE_COUNT;
 
 /// Result latency in cycles (issue to capture), as in the paper's
 /// fetch-after-five-cycles harness.
@@ -104,7 +105,7 @@ pub fn characterize(
         let product = op.correct().clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
         let scale = FaultModel::path_scale(product);
         let fault = model.sample_pipelined_factors(factor, factor, scale, rng);
-        apply_fault(product, fault, false, &mut ring, rng, &mut applied);
+        apply_fault(product, fault, &mut ring, rng, &mut applied);
         issued += 1;
     }
     FaultTally {
@@ -114,11 +115,52 @@ pub fn characterize(
     }
 }
 
+/// Ring of the last product each PE produced (round-robin issue over
+/// [`PE_COUNT`] DSPs): the P registers a duplication fault re-captures.
+#[derive(Debug, Clone, Default)]
+pub struct DupRing {
+    ring: [i32; PE_COUNT],
+    pos: usize,
+}
+
+impl DupRing {
+    /// Returns the issuing PE's previous product (0 before its first) and
+    /// records the new one.
+    pub fn exchange(&mut self, product: i32) -> i32 {
+        let stale = self.ring[self.pos];
+        self.ring[self.pos] = product;
+        self.pos = (self.pos + 1) % PE_COUNT;
+        stale
+    }
+}
+
+/// Applies one sampled fault to a product: what the DSP hands the
+/// accumulator. A duplication captures the same PE's previous product, a
+/// random fault XORs a mask drawn from `rng` into the low 16 bits.
+fn apply_fault(
+    product: i32,
+    fault: MacFault,
+    last_products: &mut DupRing,
+    rng: &mut impl Rng,
+    tally: &mut AppliedFaults,
+) -> i32 {
+    let stale = last_products.exchange(product);
+    match fault {
+        MacFault::None => product,
+        MacFault::Duplicate => {
+            tally.duplicate += 1;
+            stale
+        }
+        MacFault::Random => {
+            tally.random += 1;
+            product ^ rng.gen_range(1i32..(1 << 16))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::MacFault;
-    use crate::schedule::PE_COUNT;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -156,8 +198,7 @@ mod tests {
         let mut ring = DupRing::default();
         let mut applied = AppliedFaults::default();
         for (j, &p) in products.iter().enumerate() {
-            let captured =
-                apply_fault(p, MacFault::Duplicate, false, &mut ring, &mut rng(), &mut applied);
+            let captured = apply_fault(p, MacFault::Duplicate, &mut ring, &mut rng(), &mut applied);
             let stale = j.checked_sub(PE_COUNT).map_or(0, |k| products[k]);
             assert_eq!(captured, stale, "op {j}");
         }
@@ -170,7 +211,7 @@ mod tests {
         let mut ring = DupRing::default();
         let mut applied = AppliedFaults::default();
         for p in (0..200).map(|i| (i + 2) * 7) {
-            let captured = apply_fault(p, MacFault::Random, false, &mut ring, &mut r, &mut applied);
+            let captured = apply_fault(p, MacFault::Random, &mut ring, &mut r, &mut applied);
             assert_ne!(captured, p, "a random fault must corrupt the product");
         }
         assert_eq!(applied.random, 200);

@@ -25,13 +25,13 @@
 //! * `D > B + W` → random fault.
 //!
 //! Because `u` is uniform, closed-form per-op probabilities exist
-//! ([`FaultModel::probabilities`]); the simulators *sample* the same
-//! distribution, so the closed form, the Fig. 6b characterisation and the
-//! executor agree (tested in the integration suite). There is one sampler
-//! body, [`FaultModel::sample_pipelined_factors`]: the characterisation
-//! ([`crate::dsp::characterize`]) and the attack scorer call it with delay
-//! factors priced once, and [`FaultModel::sample_pipelined_scaled`] prices
-//! two voltages first.
+//! ([`FaultModel::probabilities`] for the capture stage alone,
+//! [`FaultModel::pipelined_probabilities`] for the whole pipeline). The
+//! Fig. 6b characterisation ([`crate::dsp::characterize`]) *samples* the
+//! distribution op by op through [`FaultModel::sample_pipelined_factors`];
+//! the attack scorer draws fault events straight from the pipelined closed
+//! form. Both agree with the closed form (tested here and in the
+//! integration suite).
 
 use pdn::delay;
 use rand::Rng;
@@ -105,6 +105,17 @@ impl FaultProbabilities {
     }
 }
 
+/// How much room one cycle's rail leaves an op's paths: the capture budget
+/// over the unjittered delay at full path scale, for the capture stage and
+/// for the early stages. A ratio below `1 + jitter` can fault.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Slack {
+    /// Budget over the capture stage's delay.
+    pub capture: f64,
+    /// Budget over the early stages' delay.
+    pub early: f64,
+}
+
 /// The voltage → fault-species model: DSP timing under the board's
 /// delay law ([`pdn::delay`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,16 +146,53 @@ impl FaultModel {
     pub fn probabilities(&self, v: f64) -> FaultProbabilities {
         let t = &self.timing;
         let scaled = t.stage_delay_ps * delay::factor(v);
-        let j = t.jitter_frac;
-        let exceed = |x_ps: f64| -> f64 {
-            if j <= 0.0 {
-                return if scaled > x_ps { 1.0 } else { 0.0 };
-            }
-            (((1.0 + j) - x_ps / scaled) / (2.0 * j)).clamp(0.0, 1.0)
-        };
-        let p_any = exceed(t.budget_ps);
-        let p_random = exceed(t.budget_ps * (1.0 + t.window_frac));
+        let p_any = self.exceed(t.budget_ps / scaled);
+        let p_random = self.exceed(t.budget_ps * (1.0 + t.window_frac) / scaled);
         FaultProbabilities { duplicate: p_any - p_random, random: p_random }
+    }
+
+    /// `P(D > x)` for a path whose unjittered delay is `x / ratio`:
+    /// `clamp(((1+j) − ratio) / 2j, 0, 1)`.
+    #[inline]
+    fn exceed(&self, ratio: f64) -> f64 {
+        let j = self.timing.jitter_frac;
+        if j <= 0.0 {
+            return if ratio < 1.0 { 1.0 } else { 0.0 };
+        }
+        (((1.0 + j) - ratio) / (2.0 * j)).clamp(0.0, 1.0)
+    }
+
+    /// The [`Slack`] of a cycle whose capture edge sits at delay-law
+    /// factor `capture_factor` and whose in-flight minimum sits at
+    /// `in_flight_factor` (see [`delay::factor`]).
+    pub fn slack(&self, capture_factor: f64, in_flight_factor: f64) -> Slack {
+        let t = &self.timing;
+        Slack {
+            capture: t.budget_ps / (t.stage_delay_ps * capture_factor),
+            early: t.budget_ps / (t.stage_delay_ps * Self::EARLY_STAGE_MARGIN * in_flight_factor),
+        }
+    }
+
+    /// Closed-form fault probabilities of one op of
+    /// [`Self::sample_pipelined_factors`] in a cycle of the given slack: the
+    /// capture stage duplicates or randomises as in
+    /// [`Self::probabilities`], and an op the capture stage lets through
+    /// randomises when its early stages miss the budget. Zero when
+    /// `scale <= 0`; non-decreasing in `scale`.
+    #[inline]
+    pub fn pipelined_probabilities(&self, slack: Slack, scale: f64) -> FaultProbabilities {
+        if scale <= 0.0 {
+            return FaultProbabilities::default();
+        }
+        let inv_scale = 1.0 / scale;
+        let capture = slack.capture * inv_scale;
+        let p_any = self.exceed(capture);
+        let p_random = self.exceed(capture * (1.0 + self.timing.window_frac));
+        let p_early = self.exceed(slack.early * inv_scale);
+        FaultProbabilities {
+            duplicate: p_any - p_random,
+            random: p_random + (1.0 - p_any) * p_early,
+        }
     }
 
     /// Samples one op of a stage with nominal delay `stage_delay_ps`
@@ -182,13 +230,21 @@ impl FaultModel {
     /// it all. This is the data dependence behind the paper's observation
     /// that layers crunching large (tanh-saturated) activations fault far
     /// more readily than the input layer's small pixel values.
+    #[inline]
     pub fn path_scale(product: i32) -> f64 {
-        let magnitude = product.unsigned_abs();
-        if magnitude == 0 {
-            return 0.0;
-        }
-        let bits = (32 - magnitude.leading_zeros()).min(14) as f64;
-        0.85 + 0.15 * bits / 14.0
+        /// `0.85 + 0.15 · bits / 14` for product widths of 1..=14 bits; a
+        /// zero product (width 0) exercises nothing.
+        const SCALES: [f64; 15] = {
+            let mut scales = [0.0; 15];
+            let mut bits = 1;
+            while bits < 15 {
+                scales[bits] = 0.85 + 0.15 * bits as f64 / 14.0;
+                bits += 1;
+            }
+            scales
+        };
+        let bits = 32 - product.unsigned_abs().leading_zeros();
+        SCALES[bits.min(14) as usize]
     }
 
     /// The lowest voltage at which every op is still fault-free (worst-case
@@ -355,6 +411,36 @@ mod tests {
             }
         }
         (dup, rnd)
+    }
+
+    #[test]
+    fn pipelined_sampling_matches_pipelined_closed_form() {
+        // Droop on the capture edge and deeper droop in flight, at the
+        // full-width and dense path scales: both species come from both
+        // stages, and the sampler's rates match the closed form.
+        let m = FaultModel::paper();
+        for (capture, in_flight, scale) in [(0.84, 0.70, 1.0), (0.80, 0.66, 0.85), (0.9, 0.9, 0.9)]
+        {
+            let (fc, ff) = (delay::factor(capture), delay::factor(in_flight));
+            let p = m.pipelined_probabilities(m.slack(fc, ff), scale);
+            let mut rng = StdRng::seed_from_u64(5);
+            let n = 40_000usize;
+            let (mut dup, mut rnd) = (0usize, 0usize);
+            for _ in 0..n {
+                match m.sample_pipelined_factors(fc, ff, scale, &mut rng) {
+                    MacFault::Duplicate => dup += 1,
+                    MacFault::Random => rnd += 1,
+                    MacFault::None => {}
+                }
+            }
+            let (dup_rate, rnd_rate) = (dup as f64 / n as f64, rnd as f64 / n as f64);
+            assert!((dup_rate - p.duplicate).abs() < 0.02, "dup {dup_rate} vs {p:?} at {capture}");
+            assert!((rnd_rate - p.random).abs() < 0.02, "rand {rnd_rate} vs {p:?} at {capture}");
+        }
+        let deep = m.slack(delay::factor(0.7), delay::factor(0.7));
+        assert_eq!(m.pipelined_probabilities(deep, 0.0).total(), 0.0, "zero products");
+        let nominal = delay::factor(delay::V_NOM);
+        assert_eq!(m.pipelined_probabilities(m.slack(nominal, nominal), 1.0).total(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests for the accelerator simulator.
 
 use accel::dsp::{characterize, DspOp};
-use accel::executor::{infer_with_faults, FixedRateHook, MacHook, NoFaults};
+use accel::executor::{
+    infer_with_faults, FaultEvent, FaultHook, FixedRateHook, NoFaults, StageOps,
+};
 use accel::fault::{DspTiming, FaultModel, MacFault};
 use accel::schedule::{AccelConfig, Schedule};
 use dnn::fixed::QFormat;
@@ -14,33 +16,29 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
-/// Faults at fixed rates on the ops its per-stage mask marks active and
-/// leaves the rest alone without drawing; declares the masks through
-/// `active_from` only when `declare` is set.
+#[path = "support/per_op.rs"]
+mod per_op;
+
+/// Faults at fixed rates on the ops its per-stage mask marks active:
+/// three in ten duplicate, one in ten randomises.
 struct MaskedHook {
     active: Vec<Vec<bool>>,
-    declare: bool,
     rng: StdRng,
 }
 
-impl MacHook for MaskedHook {
-    fn fault(&mut self, stage: usize, op: u64, _w: i8, _x: i8) -> MacFault {
-        if !self.active[stage][op as usize] {
-            return MacFault::None;
+impl FaultHook for MaskedHook {
+    fn stage_faults(&mut self, stage: &StageOps<'_>, events: &mut Vec<FaultEvent>) {
+        for (op, _) in self.active[stage.index].iter().enumerate().filter(|(_, &a)| a) {
+            let op = op as u64;
+            match self.rng.gen_range(0u32..10) {
+                0..=2 => events.push(FaultEvent { op, kind: MacFault::Duplicate, mask: 0 }),
+                3 => {
+                    let mask = self.rng.gen_range(1i32..1 << 16);
+                    events.push(FaultEvent { op, kind: MacFault::Random, mask });
+                }
+                _ => {}
+            }
         }
-        match self.rng.gen_range(0u32..10) {
-            0..=2 => MacFault::Duplicate,
-            3 => MacFault::Random,
-            _ => MacFault::None,
-        }
-    }
-
-    fn active_from(&self, stage: usize, op: u64) -> u64 {
-        if !self.declare {
-            return op;
-        }
-        let mask = &self.active[stage][op as usize..];
-        mask.iter().position(|&a| a).map_or(u64::MAX, |k| op + k as u64)
     }
 }
 
@@ -60,7 +58,7 @@ fn narrow_net() -> QuantizedNetwork {
     QuantizedNetwork::from_sequential(&net, &[3, 4, 4], QFormat::paper()).unwrap()
 }
 
-/// MAC count of each stage of [`narrow_net`].
+/// MAC count of each stage of [`narrow_net`], by stage index.
 const NARROW_OPS: [usize; 4] = [5 * 16 * 3, 3 * 9 * 20, 6 * 27, 4 * 6];
 
 /// LeNet-5, the deeper CNN, the MLP and [`narrow_net`], quantised once.
@@ -159,7 +157,6 @@ proptest! {
     /// The executor's fault tally equals what the hook injected.
     #[test]
     fn executor_counts_what_the_hook_injects(dup in 0.0f64..0.2, rnd in 0.0f64..0.2, seed in 0u64..100) {
-        let mut rng = StdRng::seed_from_u64(1);
         let mut net = Sequential::new("t");
         net.push(Box::new(Dense::new("fc1", 64, 16, &mut StdRng::seed_from_u64(2))));
         net.push(Box::new(Tanh::new("t1")));
@@ -167,7 +164,7 @@ proptest! {
         let q = QuantizedNetwork::from_sequential(&net, &[1, 8, 8], QFormat::paper()).unwrap();
         let x = Tensor::full(&[1, 8, 8], 0.3);
         let mut hook = FixedRateHook { duplicate: dup, random: rnd, rng: StdRng::seed_from_u64(seed) };
-        let (_, tally) = infer_with_faults(&q, &x, &mut hook, &mut rng);
+        let (_, tally) = infer_with_faults(&q, &x, &mut hook);
         let total_ops = (64 * 16 + 16 * 4) as f64;
         let expected = (dup + rnd) * total_ops;
         // Binomial tolerance: 5 sigma.
@@ -179,26 +176,26 @@ proptest! {
         );
     }
 
-    /// Fault-free execution matches the reference on seeded random pixel
-    /// images, for every victim shape. `NoFaults` keeps the default
-    /// `active_from`, so the executor sends every op through its per-op
-    /// loops: the check does not run the clean kernels it is checking.
+    /// Fault-free execution matches the per-op reference on seeded random
+    /// pixel images, for every victim shape. The executor sums each stage
+    /// with `dnn::quant`'s kernels and the reference with its own loop
+    /// nest, so the check does not run the kernels it is checking.
     #[test]
     fn clean_execution_matches_reference(victim in 0usize..4, seed in any::<u64>()) {
         let q = &victims()[victim];
         let x = random_image(q.input_shape(), seed);
-        let mut rng = StdRng::seed_from_u64(0);
-        let (logits, tally) = infer_with_faults(q, &x, &mut NoFaults, &mut rng);
-        prop_assert_eq!(logits, q.infer_logits(&x));
+        let (logits, tally) = infer_with_faults(q, &x, &mut NoFaults);
+        prop_assert_eq!(&logits, &q.infer_logits(&x));
         prop_assert_eq!(tally.total(), 0);
+        prop_assert_eq!((logits, tally), per_op::infer_per_op(q, &x, &mut NoFaults));
     }
 
-    /// Declaring quiet spans through `active_from` changes nothing: the
-    /// executor sums skipped outputs clean and re-primes the duplication
-    /// ring across them, so logits, tally and both RNG end states match
-    /// the hook consulted on every op.
+    /// Fault events become exact accumulator corrections: on the net with
+    /// fewer taps than PEs (so op j − 8 crosses output elements), random
+    /// masks of active ops give the same logits and tally through the
+    /// executor as through the per-op reference's ring of P registers.
     #[test]
-    fn declared_quiet_spans_change_nothing(
+    fn fault_events_match_per_op_application(
         spans in prop::collection::vec((0usize..4, 0usize..240, 1usize..40), 0..8),
         fill in 0.0f32..1.0,
         seed in 0u64..1000,
@@ -212,13 +209,8 @@ proptest! {
             mask[start..end].iter_mut().for_each(|a| *a = true);
         }
         let x = Tensor::full(&[3, 4, 4], fill);
-        let run = |declare: bool| {
-            let mut hook =
-                MaskedHook { active: active.clone(), declare, rng: StdRng::seed_from_u64(seed) };
-            let mut rng = StdRng::seed_from_u64(seed ^ 1);
-            let (logits, tally) = infer_with_faults(&q, &x, &mut hook, &mut rng);
-            (logits, tally, rng.gen::<u64>(), hook.rng.gen::<u64>())
-        };
-        prop_assert_eq!(run(true), run(false));
+        let hook = || MaskedHook { active: active.clone(), rng: StdRng::seed_from_u64(seed) };
+        let fast = infer_with_faults(&q, &x, &mut hook());
+        prop_assert_eq!(fast, per_op::infer_per_op(&q, &x, &mut hook()));
     }
 }

@@ -2,12 +2,15 @@
 //! DDR-vs-SDR ablation called out in DESIGN.md.
 
 use accel::dsp::{characterize, DspOp};
+use accel::executor::infer_with_faults;
 use accel::fault::{DspTiming, FaultModel};
 use accel::schedule::{AccelConfig, Schedule};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use deepstrike::attack::{plan_attack, profile_victim, StrikeHook, StrikeTables};
 use deepstrike::cosim::{CloudFpga, CosimConfig};
 use deepstrike::profile::segment_trace;
 use dnn::fixed::QFormat;
+use dnn::lenet::STAGE_NAMES;
 use dnn::quant::QuantizedNetwork;
 use dnn::zoo::mlp;
 use rand::rngs::StdRng;
@@ -67,11 +70,44 @@ fn bench_ddr_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Scoring one image of the trained LeNet against a recorded guided run
+/// at fig5b's platform and its largest strike budget for each conv layer
+/// (half the window): the per-image cost of `evaluate_attack`.
+fn bench_score_image(c: &mut Criterion) {
+    let (q, _) = bench::trained_lenet();
+    let test = bench::test_set();
+    let (x, _) = test.iter().next().expect("non-empty test set");
+    let mut fpga = CloudFpga::new(&q, &AccelConfig::default(), 8_000, CosimConfig::default())
+        .expect("platform assembles");
+    fpga.settle(200);
+    let profile = profile_victim(&mut fpga, &STAGE_NAMES, 2).expect("profiles all five layers");
+    let mut group = c.benchmark_group("attack");
+    for target in ["conv1", "conv2"] {
+        let (_, window) = profile.window(target).expect("profiled layer");
+        let scheme = plan_attack(&profile, target, (window / 2) as u32).expect("strikes fit");
+        let mut armed = fpga.clone();
+        armed.scheduler_mut().load_scheme(&scheme).expect("scheme fits");
+        armed.scheduler_mut().arm(true).expect("arms");
+        let run = armed.run_inference();
+        let tables = StrikeTables::new(fpga.schedule(), &run, FaultModel::paper());
+        let mut key = 0u64;
+        group.bench_function(&format!("score_image_{target}"), |b| {
+            b.iter(|| {
+                key += 1;
+                let (logits, tally) = infer_with_faults(&q, x, &mut StrikeHook::new(&tables, key));
+                black_box((logits, tally.total()))
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cosim_inference,
     bench_profiling,
     bench_schedule,
-    bench_ddr_ablation
+    bench_ddr_ablation,
+    bench_score_image
 );
 criterion_main!(benches);

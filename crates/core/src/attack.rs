@@ -17,13 +17,11 @@
 //! target layer ([`plan_blind`]).
 
 use accel::dsp;
-use accel::executor::{infer_with_faults, MacHook};
-use accel::fault::{FaultModel, MacFault};
+use accel::executor::{infer_with_faults, FaultEvent, FaultHook, StageOps};
+use accel::fault::{FaultModel, MacFault, Slack};
 use accel::schedule::{LayerWindow, Schedule, StageKind};
 use dnn::quant::{argmax, QuantizedNetwork};
 use dnn::tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::ops::Range;
 
 use crate::cosim::{CloudFpga, InferenceRun};
@@ -236,57 +234,101 @@ pub fn plan_blind_cycles(total_cycles: u64, strikes: u32) -> AttackScheme {
 /// The image-independent half of scoring one recorded run, built once per
 /// [`evaluate_attack`] call and shared by every image's [`StrikeHook`].
 ///
-/// A cycle is *quiet* when no op in flight during it can violate timing:
-/// its capture voltage is at or above the fault model's safe voltage and
-/// its in-flight minimum at or above the early stage's. Each stage lists
-/// the spans of consecutive non-quiet cycles in its window, with the ops
-/// they execute and the delay-law factors of both voltages per cycle; the
-/// executor sums every other op clean.
+/// Each cycle of a stage's window is priced in closed form
+/// ([`FaultModel::pipelined_probabilities`]) from its capture voltage and
+/// in-flight minimum. A cycle is *quiet* when its stage's widest op — a
+/// full-width product in a conv stage, [`StrikeHook::DENSE_PATH_SCALE`] in
+/// a dense one — cannot fault in it. Each stage lists the spans of
+/// consecutive non-quiet cycles in its window, and each non-quiet cycle
+/// keeps 16 bytes: its [`Slack`] and the fault probability and hazard of
+/// its widest op. Ops in quiet cycles never become fault candidates.
 #[derive(Debug)]
 pub struct StrikeTables {
     /// Stage `i` of the network maps to window `i` of the schedule.
     stages: Vec<StageTable>,
-    /// Delay factors at the capture voltage and at the in-flight minimum,
-    /// one pair per cycle of every span, in span order.
-    factors: Vec<(f64, f64)>,
+    /// One entry per cycle of every span, in span order.
+    cycles: Vec<CycleRisk>,
     fault_model: FaultModel,
 }
 
 #[derive(Debug)]
 struct StageTable {
     window: LayerWindow,
-    /// Sorted by op; the op ranges are disjoint and non-empty.
+    /// In cycle order; never empty.
     spans: Vec<ActiveSpan>,
 }
 
-/// Consecutive non-quiet cycles of one window and the ops run in them.
+/// Consecutive non-quiet cycles of one window.
 #[derive(Debug)]
 struct ActiveSpan {
-    ops: Range<u64>,
+    /// Offset of the span's first cycle from the window's start.
     first_cycle: u64,
-    /// Index in [`StrikeTables::factors`] of `first_cycle`'s pair.
-    factors: usize,
+    /// The span's entries in [`StrikeTables::cycles`].
+    cycles: Range<usize>,
+}
+
+/// One non-quiet cycle, in single precision.
+#[derive(Debug, Clone, Copy)]
+struct CycleRisk {
+    capture: f32,
+    early: f32,
+    /// `−ln(1 − p)` of the widest op's fault probability `p`, rounded up:
+    /// the rate at which candidate faults are drawn per op.
+    hazard: f32,
+    /// `1 − e^(−hazard)`, rounded up: the candidate probability per op, at
+    /// least every op's fault probability in the cycle.
+    envelope: f32,
+}
+
+impl CycleRisk {
+    /// The risk of a cycle of slack `slack` for a stage whose widest op
+    /// runs at path scale `widest`, in single precision (the rounded slack
+    /// prices every op); `None` when the widest op cannot fault.
+    fn new(slack: Slack, widest: f64, fault_model: &FaultModel) -> Option<Self> {
+        let (capture, early) = (slack.capture as f32, slack.early as f32);
+        let rounded = Slack { capture: f64::from(capture), early: f64::from(early) };
+        let p = fault_model.pipelined_probabilities(rounded, widest).total();
+        if p <= 0.0 {
+            return None;
+        }
+        let hazard = round_up(-(-p).ln_1p());
+        let envelope = round_up(-(-f64::from(hazard)).exp_m1());
+        Some(CycleRisk { capture, early, hazard, envelope })
+    }
+
+    fn slack(self) -> Slack {
+        Slack { capture: f64::from(self.capture), early: f64::from(self.early) }
+    }
+}
+
+/// The least `f32` at or above `x >= 0`.
+fn round_up(x: f64) -> f32 {
+    let y = x as f32;
+    if f64::from(y) < x {
+        f32::from_bits(y.to_bits() + 1)
+    } else {
+        y
+    }
 }
 
 impl StrikeTables {
-    /// Prices `run` in O(window cycles + spans): each window's non-quiet
-    /// cycles are mapped back to the ops that [`LayerWindow::cycle_of_op`]
-    /// places in them, with no per-op work.
+    /// Prices `run` in O(window cycles): each window's non-quiet cycles
+    /// are recorded in order, with no per-op work.
     pub fn new(schedule: &Schedule, run: &InferenceRun, fault_model: FaultModel) -> Self {
         let voltage = &run.victim_voltage;
+        // No op, at any path scale, can fault in a cycle whose voltages
+        // clear the full-width safe voltages: such cycles skip pricing.
         let safe_voltage = fault_model.safe_voltage();
         let early_safe_voltage = fault_model.early_stage().safe_voltage();
-        let mut factors = Vec::new();
+        let mut cycles = Vec::new();
         let stages = schedule
             .windows()
             .iter()
             .map(|w| {
-                // Ops `first_op(r)..first_op(r + 1)` run in cycle
-                // `start_cycle + r`: the inverse of `i * cycles / ops`.
-                let first_op = |r: u64| {
-                    (u128::from(r) * u128::from(w.ops)).div_ceil(u128::from(w.cycles)) as u64
-                };
                 let mut spans: Vec<ActiveSpan> = Vec::new();
+                let Some(widest) = StrikeHook::widest_scale(w.kind) else {
+                    return StageTable { window: w.clone(), spans };
+                };
                 for cycle in w.start_cycle..w.end_cycle().min(voltage.len() as u64) {
                     let capture = (cycle + StrikeHook::LATENCY) as usize;
                     let v_capture = voltage[capture.min(voltage.len() - 1)];
@@ -294,41 +336,119 @@ impl StrikeTables {
                     if v_capture >= safe_voltage && v_min >= early_safe_voltage {
                         continue;
                     }
+                    let slack =
+                        fault_model.slack(pdn::delay::factor(v_capture), pdn::delay::factor(v_min));
+                    let Some(risk) = CycleRisk::new(slack, widest, &fault_model) else {
+                        continue;
+                    };
                     let r = cycle - w.start_cycle;
-                    let ops = first_op(r)..first_op(r + 1);
                     match spans.last_mut() {
-                        Some(last)
-                            if last.first_cycle + (factors.len() - last.factors) as u64
-                                == cycle =>
-                        {
-                            last.ops.end = ops.end;
+                        Some(last) if last.first_cycle + last.cycles.len() as u64 == r => {
+                            last.cycles.end += 1;
                         }
-                        _ if ops.is_empty() => continue,
                         _ => spans.push(ActiveSpan {
-                            ops,
-                            first_cycle: cycle,
-                            factors: factors.len(),
+                            first_cycle: r,
+                            cycles: cycles.len()..cycles.len() + 1,
                         }),
                     }
-                    factors.push((pdn::delay::factor(v_capture), pdn::delay::factor(v_min)));
+                    cycles.push(risk);
                 }
                 StageTable { window: w.clone(), spans }
             })
             .collect();
-        StrikeTables { stages, factors, fault_model }
+        StrikeTables { stages, cycles, fault_model }
     }
 }
 
-/// A [`MacHook`] that converts a recorded [`InferenceRun`] into per-op
-/// fault decisions: an op faults according to the worst rail voltage it
-/// would have seen while in flight. It holds only the shared
-/// [`StrikeTables`] and the image's own fault RNG.
+/// One counter-based stream of an image's fault draws: draw `n` is a pure
+/// function of the image key, the stage, the stream's purpose and `n`.
+#[derive(Debug, Clone, Copy)]
+struct Keyed(u64);
+
+impl Keyed {
+    /// Candidate gaps, counted by candidate within the stage.
+    const GAPS: u64 = 0;
+    /// Candidate acceptance and species, counted by op.
+    const ACCEPT: u64 = 1;
+    /// Random-fault masks, counted by op.
+    const MASKS: u64 = 2;
+
+    fn new(image_key: u64, stage: usize, purpose: u64) -> Self {
+        Keyed(par::seed_for(image_key, (stage as u64) << 2 | purpose))
+    }
+
+    fn bits(self, n: u64) -> u64 {
+        par::splitmix64(self.0.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+    }
+
+    /// A uniform in `[0, 1)`.
+    fn uniform(self, n: u64) -> f64 {
+        (self.bits(n) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A unit exponential, `−ln(1 − u)` (`1 − u` is exact).
+    fn exponential(self, n: u64) -> f64 {
+        -(1.0 - self.uniform(n)).ln()
+    }
+}
+
+/// The first op of each cycle of a window, walked cycle by cycle without
+/// division: cycle `r` runs ops `⌈r·ops / cycles⌉..⌈(r+1)·ops / cycles⌉`,
+/// the inverse of [`LayerWindow::cycle_of_op`].
+struct OpBoundary {
+    /// `⌈r·ops / cycles⌉` for the current `r`.
+    op: u64,
+    /// `op·cycles − r·ops`, in `0..cycles`.
+    excess: u64,
+    cycles: u64,
+    step: u64,
+    remainder: u64,
+}
+
+impl OpBoundary {
+    fn at(window: &LayerWindow, r: u64) -> Self {
+        let (ops, cycles) = (u128::from(window.ops), u128::from(window.cycles));
+        let op = (u128::from(r) * ops).div_ceil(cycles);
+        OpBoundary {
+            op: op as u64,
+            excess: (op * cycles - u128::from(r) * ops) as u64,
+            cycles: window.cycles,
+            step: window.ops / window.cycles,
+            remainder: window.ops % window.cycles,
+        }
+    }
+
+    /// Moves to the next cycle; returns its first op.
+    fn advance(&mut self) -> u64 {
+        self.op += self.step;
+        if self.remainder > self.excess {
+            self.op += 1;
+            self.excess += self.cycles - self.remainder;
+        } else {
+            self.excess -= self.remainder;
+        }
+        self.op
+    }
+}
+
+/// A [`FaultHook`] that converts a recorded [`InferenceRun`] into fault
+/// events: an op faults according to the worst rail voltage it would have
+/// seen while in flight. It holds only the shared [`StrikeTables`] and the
+/// image's key; every draw is keyed on (image key, stage, op or candidate
+/// count), so an image's faults do not depend on which other images are
+/// scored with it, or where.
+///
+/// Candidate faults are drawn cycle by cycle at the cycle's *envelope*,
+/// the fault probability of its widest op: the gap to the next candidate
+/// is a keyed exponential draw measured in the cycles' hazard, carried
+/// across cycles, so there is one draw per candidate. Candidate op `j` is
+/// kept with probability `p(j) / envelope` (Bernoulli thinning), so each
+/// op faults with its own closed-form probability and the draws follow the
+/// faults, not the ops.
 #[derive(Debug)]
 pub struct StrikeHook<'a> {
     tables: &'a StrikeTables,
-    rng: StdRng,
-    /// `(stage, span)` of the last op looked up.
-    cursor: (usize, usize),
+    key: u64,
 }
 
 impl<'a> StrikeHook<'a> {
@@ -339,59 +459,85 @@ impl<'a> StrikeHook<'a> {
     /// Path-length scale of accumulate-dominated (dense) DSP ops.
     pub const DENSE_PATH_SCALE: f64 = 0.85;
 
-    /// Builds one image's hook over the run priced in `tables`.
-    pub fn new(tables: &'a StrikeTables, seed: u64) -> Self {
-        StrikeHook { tables, rng: StdRng::seed_from_u64(seed), cursor: (0, 0) }
+    /// Builds the hook of the image keyed `key` over the run priced in
+    /// `tables`.
+    pub fn new(tables: &'a StrikeTables, key: u64) -> Self {
+        StrikeHook { tables, key }
+    }
+
+    /// The path scale of a stage kind's widest op; `None` for pooling,
+    /// whose comparators the executor never faults.
+    fn widest_scale(kind: StageKind) -> Option<f64> {
+        match kind {
+            StageKind::Conv => Some(FaultModel::path_scale(i32::MAX)),
+            StageKind::Dense => Some(Self::DENSE_PATH_SCALE),
+            StageKind::Pool => None,
+        }
     }
 }
 
-impl MacHook for StrikeHook<'_> {
-    fn fault(&mut self, stage_index: usize, op_index: u64, weight: i8, activation: i8) -> MacFault {
-        let Some(stage) = self.tables.stages.get(stage_index) else {
-            return MacFault::None;
+impl FaultHook for StrikeHook<'_> {
+    fn stage_faults(&mut self, ops: &StageOps<'_>, events: &mut Vec<FaultEvent>) {
+        let Some(stage) = self.tables.stages.get(ops.index).filter(|s| !s.spans.is_empty()) else {
+            return;
         };
-        // The executor visits a stage's ops in ascending order, so the
-        // span holding op `i` is found by walking on from the last one.
-        let (cursor_stage, mut k) = self.cursor;
-        if cursor_stage != stage_index
-            || (k > 0 && stage.spans.get(k - 1).is_some_and(|s| s.ops.end > op_index))
-        {
-            k = stage.spans.partition_point(|s| s.ops.end <= op_index);
+        let (gaps, accept, masks) = (
+            Keyed::new(self.key, ops.index, Keyed::GAPS),
+            Keyed::new(self.key, ops.index, Keyed::ACCEPT),
+            Keyed::new(self.key, ops.index, Keyed::MASKS),
+        );
+        let model = &self.tables.fault_model;
+        // Every candidate is written at `events[kept]` and kept only if it
+        // faults: with no branch on the verdict, consecutive candidates'
+        // draws and pricing overlap in the pipeline.
+        let mut kept = events.len();
+        // The hazard still to cover before the next candidate: quiet
+        // cycles carry none, so it carries over from span to span.
+        let mut candidates = 0u64;
+        let mut wait = gaps.exponential(candidates);
+        for span in &stage.spans {
+            let mut boundary = OpBoundary::at(&stage.window, span.first_cycle);
+            let mut op = boundary.op;
+            for &risk in &self.tables.cycles[span.cycles.clone()] {
+                let end = boundary.advance();
+                let (envelope, hazard) = (f64::from(risk.envelope), f64::from(risk.hazard));
+                while op < end {
+                    let room = (end - op) as f64 * hazard;
+                    if wait >= room {
+                        wait -= room;
+                        break;
+                    }
+                    op = (op + (wait / hazard) as u64).min(end - 1);
+                    candidates += 1;
+                    wait = gaps.exponential(candidates);
+                    // Convolution ops exercise the full multiplier array
+                    // (path length grows with the product width); fully
+                    // connected stages are accumulate-dominated — "only
+                    // adds k×k prior multiplication results" (§IV) — so
+                    // their critical path is the short ALU add.
+                    let scale = match stage.window.kind {
+                        StageKind::Dense => Self::DENSE_PATH_SCALE,
+                        _ => FaultModel::path_scale(ops.product(op)),
+                    };
+                    let p = model.pipelined_probabilities(risk.slack(), scale);
+                    let x = accept.uniform(op) * envelope;
+                    let random = x < p.random;
+                    let event = FaultEvent {
+                        op,
+                        kind: if random { MacFault::Random } else { MacFault::Duplicate },
+                        mask: if random { 1 + (masks.bits(op) % 0xFFFF) as i32 } else { 0 },
+                    };
+                    if kept == events.len() {
+                        events.resize(2 * kept + 64, event);
+                    }
+                    events[kept] = event;
+                    kept += usize::from(x < p.random + p.duplicate);
+                    op += 1;
+                }
+                op = end;
+            }
         }
-        while stage.spans.get(k).is_some_and(|s| s.ops.end <= op_index) {
-            k += 1;
-        }
-        self.cursor = (stage_index, k);
-        // Ops outside every span run in quiet cycles (or past the
-        // recorded run) and cannot fault.
-        let Some(span) = stage.spans.get(k).filter(|s| s.ops.start <= op_index) else {
-            return MacFault::None;
-        };
-        let cycle = stage.window.cycle_of_op(op_index);
-        let (capture_factor, in_flight_factor) =
-            self.tables.factors[span.factors + (cycle - span.first_cycle) as usize];
-        // Convolution ops exercise the full multiplier array (path length
-        // grows with the product width); fully connected stages are
-        // accumulate-dominated — "only adds k×k prior multiplication
-        // results" (§IV) — so their critical path is the short ALU add.
-        let scale = match stage.window.kind {
-            StageKind::Dense => Self::DENSE_PATH_SCALE,
-            _ => FaultModel::path_scale(i32::from(weight) * i32::from(activation)),
-        };
-        self.tables.fault_model.sample_pipelined_factors(
-            capture_factor,
-            in_flight_factor,
-            scale,
-            &mut self.rng,
-        )
-    }
-
-    fn active_from(&self, stage_index: usize, op_index: u64) -> u64 {
-        let Some(stage) = self.tables.stages.get(stage_index) else {
-            return u64::MAX;
-        };
-        let k = stage.spans.partition_point(|s| s.ops.end <= op_index);
-        stage.spans.get(k).map_or(u64::MAX, |s| s.ops.start.max(op_index))
+        events.truncate(kept);
     }
 }
 
@@ -427,14 +573,16 @@ impl AttackOutcome {
 /// statistical mode described in DESIGN.md §4. The pricing is done once
 /// per call: one [`StrikeTables`] holds the delay factors of the cycles
 /// whose droop can fault a MAC and, per stage, the ops run in them, and
-/// every image's [`StrikeHook`] shares it. The executor sums each output
-/// whose MACs all run in quiet cycles clean, without consulting the hook.
+/// every image's [`StrikeHook`] shares it. The executor sums every stage
+/// clean and corrects only the outputs the hook's fault events touch.
 ///
-/// Images are scored on the [`par`] worker pool: image `i` draws from an
-/// `StdRng` seeded by `par::seed_for(seed ^ 0xD5, i)` and its
-/// [`StrikeHook`] keeps only its own `StdRng`, seeded from `seed + i`, so
-/// the outcome is a pure function of `(inputs, seed)` — bit-identical at
-/// any thread count, including `DEEPSTRIKE_THREADS=1`.
+/// Images are scored on the [`par`] worker pool. Image `i`'s faults —
+/// which ops fault, which way, and each random fault's mask — are keyed
+/// on `seed.wrapping_add(i)` alone (DESIGN.md §8), so the outcome is a
+/// pure function of `(inputs, seed)`: bit-identical at any thread count,
+/// including `DEEPSTRIKE_THREADS=1`, and batch-invariant — scoring images
+/// `a..b` of a set at `seed + a` gives each image the faults it gets when
+/// the whole set is scored at `seed`.
 pub fn evaluate_attack<'a>(
     net: &QuantizedNetwork,
     schedule: &Schedule,
@@ -495,10 +643,10 @@ fn evaluate_attack_impl(
         random: u64,
     }
     let tables = StrikeTables::new(schedule, run, fault_model);
-    let scores = par::map_seeded(samples.len(), seed ^ 0xD5, |i, rng| {
+    let scores = par::map(samples.len(), |i| {
         let (x, y) = samples[i];
         let mut hook = StrikeHook::new(&tables, seed.wrapping_add(i as u64));
-        let (logits, tally) = infer_with_faults(net, x, &mut hook, rng);
+        let (logits, tally) = infer_with_faults(net, x, &mut hook);
         let clean_ok = match clean {
             Some(c) => c[i],
             None => net.predict(x) == y,
@@ -539,6 +687,7 @@ mod tests {
     use dnn::fixed::QFormat;
     use dnn::zoo::mlp;
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn small_victim() -> QuantizedNetwork {
         let net = mlp(&mut StdRng::seed_from_u64(0));
@@ -730,52 +879,175 @@ mod tests {
         assert!(plan_multi_attack(&profile, &[("a", 0)]).is_err());
     }
 
-    #[test]
-    fn strike_tables_invert_cycle_of_op() {
-        // A synthetic run, shorter than the schedule, whose rail dips
-        // below the safe voltage on a random third of its cycles: every
-        // op's table entry must match pricing its own cycle directly.
+    /// A synthetic run, shorter than the schedule, whose rail sits at
+    /// `droop` on a random third of its cycles and at 1.0 V elsewhere.
+    fn synthetic_run(schedule: &Schedule, droop: f64) -> InferenceRun {
         use rand::Rng;
-        let q = small_victim();
-        let schedule = Schedule::for_network(&q, &accel_config());
         let mut rng = StdRng::seed_from_u64(3);
         let n = schedule.total_cycles() as usize - 500;
         let victim_voltage =
-            (0..n).map(|_| if rng.gen_range(0..3) == 0 { 0.8 } else { 1.0 }).collect();
-        let run = InferenceRun {
+            (0..n).map(|_| if rng.gen_range(0..3) == 0 { droop } else { 1.0 }).collect();
+        InferenceRun {
             tdc_trace: vec![],
             victim_voltage,
             strike_cycles: vec![],
             triggered_cycle: None,
             final_temp_c: 25.0,
-        };
+        }
+    }
+
+    /// The closed-form fault probability of the widest op of `window`'s
+    /// stage in `cycle` of `run`, or `None` past the recorded run.
+    fn widest_probability(
+        model: &FaultModel,
+        run: &InferenceRun,
+        window: &LayerWindow,
+        cycle: u64,
+    ) -> Option<f64> {
+        let n = run.victim_voltage.len() as u64;
+        let widest = StrikeHook::widest_scale(window.kind)?;
+        (cycle < n).then(|| {
+            let v_capture = run.victim_voltage[(cycle + StrikeHook::LATENCY).min(n - 1) as usize];
+            let v_min = run.min_voltage_in_flight(cycle, StrikeHook::LATENCY);
+            let slack = model.slack(pdn::delay::factor(v_capture), pdn::delay::factor(v_min));
+            model.pipelined_probabilities(slack, widest).total()
+        })
+    }
+
+    #[test]
+    fn strike_tables_invert_cycle_of_op() {
+        // Walking each span's cycles with `OpBoundary` must visit exactly
+        // the ops `cycle_of_op` places in them, and a cycle is in a span
+        // exactly when its widest op can fault there, with an envelope at
+        // least that probability.
+        let q = small_victim();
+        let schedule = Schedule::for_network(&q, &accel_config());
+        let run = synthetic_run(&schedule, 0.8);
         let model = FaultModel::paper();
         let tables = StrikeTables::new(&schedule, &run, model);
-        let hook = StrikeHook::new(&tables, 0);
         let mut active_ops = 0;
         for (stage, table) in tables.stages.iter().enumerate() {
-            for op in 0..table.window.ops {
-                let cycle = table.window.cycle_of_op(op);
-                let priced = (cycle < n as u64).then(|| {
-                    let v_capture = run.victim_voltage
-                        [(cycle + StrikeHook::LATENCY).min(n as u64 - 1) as usize];
-                    let v_min = run.min_voltage_in_flight(cycle, StrikeHook::LATENCY);
-                    (v_capture, v_min)
-                });
-                let expected = priced
-                    .filter(|&(c, m)| {
-                        !(c >= model.safe_voltage() && m >= model.early_stage().safe_voltage())
-                    })
-                    .map(|(c, m)| (pdn::delay::factor(c), pdn::delay::factor(m)));
-                let span = table.spans.iter().find(|s| s.ops.contains(&op));
-                let found =
-                    span.map(|s| tables.factors[s.factors + (cycle - s.first_cycle) as usize]);
-                assert_eq!(found, expected, "stage {stage} op {op} (cycle {cycle})");
-                assert_eq!(hook.active_from(stage, op) == op, expected.is_some());
-                active_ops += u64::from(expected.is_some());
+            let mut walked = vec![None; table.window.ops as usize];
+            for span in &table.spans {
+                let mut boundary = OpBoundary::at(&table.window, span.first_cycle);
+                let mut op = boundary.op;
+                for (k, &risk) in tables.cycles[span.cycles.clone()].iter().enumerate() {
+                    let end = boundary.advance();
+                    for o in op..end {
+                        let envelope = f64::from(risk.envelope);
+                        walked[o as usize] = Some((span.first_cycle + k as u64, envelope));
+                    }
+                    op = end;
+                }
+            }
+            for (op, walked) in walked.into_iter().enumerate() {
+                let cycle = table.window.cycle_of_op(op as u64);
+                let p = widest_probability(&model, &run, &table.window, cycle).unwrap_or(0.0);
+                match walked {
+                    Some((r, envelope)) => {
+                        assert_eq!(table.window.start_cycle + r, cycle, "stage {stage} op {op}");
+                        assert!(p > 0.0 && envelope >= p * (1.0 - 1e-6), "{p} vs {envelope}");
+                        let hazard = f64::from(tables.cycles[0].hazard);
+                        assert!(hazard > 0.0);
+                        active_ops += 1;
+                    }
+                    None => assert_eq!(p, 0.0, "stage {stage} op {op} (cycle {cycle})"),
+                }
             }
         }
         assert!(active_ops > 1000, "the synthetic droop must reach ops: {active_ops}");
+    }
+
+    #[test]
+    fn op_boundaries_invert_cycle_of_op_for_any_window() {
+        for (ops, cycles) in [(10u64, 10u64), (150, 7), (1200, 300), (7, 3), (122_880, 30_720)] {
+            let window = LayerWindow {
+                name: "w".into(),
+                kind: StageKind::Dense,
+                start_cycle: 5,
+                cycles,
+                ops,
+                outputs: 1,
+            };
+            let mut boundary = OpBoundary::at(&window, 0);
+            assert_eq!(boundary.op, 0);
+            for r in 0..cycles {
+                let (first, end) = (boundary.op, boundary.advance());
+                assert!((first..end).all(|op| window.cycle_of_op(op) == 5 + r), "{ops}/{cycles}");
+                assert_eq!(OpBoundary::at(&window, r + 1).op, end);
+            }
+            assert_eq!(boundary.op, ops);
+        }
+    }
+
+    #[test]
+    fn dense_ops_at_a_droop_only_full_width_ops_feel_are_quiet() {
+        // 0.86 V faults a full-width conv product but not a dense op, whose
+        // path runs at 0.85 of the multiplier's: no span, so no draw.
+        let model = FaultModel::paper();
+        let f = pdn::delay::factor(0.86);
+        assert!(model.pipelined_probabilities(model.slack(f, f), 1.0).total() > 0.0);
+        let dense = model.pipelined_probabilities(model.slack(f, f), StrikeHook::DENSE_PATH_SCALE);
+        assert_eq!(dense.total(), 0.0);
+        let q = small_victim();
+        let schedule = Schedule::for_network(&q, &accel_config());
+        let tables = StrikeTables::new(&schedule, &synthetic_run(&schedule, 0.86), model);
+        assert!(tables.stages.iter().all(|t| t.spans.is_empty()));
+    }
+
+    #[test]
+    fn thinned_events_match_the_closed_form() {
+        // Over many image keys, each species' event count on the MLP's
+        // first (dense) stage matches the sum of its ops' closed-form
+        // probabilities, and events are sorted, in range and unique.
+        let q = small_victim();
+        let schedule = Schedule::for_network(&q, &accel_config());
+        let run = synthetic_run(&schedule, 0.76);
+        let model = FaultModel::paper();
+        let tables = StrikeTables::new(&schedule, &run, model);
+        let table = &tables.stages[0];
+        let (mut p_dup, mut p_rnd) = (0.0, 0.0);
+        for op in 0..table.window.ops {
+            let cycle = table.window.cycle_of_op(op);
+            if widest_probability(&model, &run, &table.window, cycle).is_some_and(|p| p > 0.0) {
+                let n = run.victim_voltage.len() as u64;
+                let v_capture =
+                    run.victim_voltage[(cycle + StrikeHook::LATENCY).min(n - 1) as usize];
+                let v_min = run.min_voltage_in_flight(cycle, StrikeHook::LATENCY);
+                let slack = model.slack(pdn::delay::factor(v_capture), pdn::delay::factor(v_min));
+                let p = model.pipelined_probabilities(slack, StrikeHook::DENSE_PATH_SCALE);
+                p_dup += p.duplicate;
+                p_rnd += p.random;
+            }
+        }
+        assert!(p_dup > 50.0 && p_rnd > 50.0, "both species must occur: {p_dup} {p_rnd}");
+        let layer = &q.layers()[0];
+        let input = q.quantize_input(&dnn::tensor::Tensor::full(&[1, 28, 28], 0.3));
+        let ops = StageOps::new(0, layer, &input).unwrap();
+        let keys = 200;
+        let (mut dup, mut rnd) = (0u64, 0u64);
+        let mut events = Vec::new();
+        for key in 0..keys {
+            events.clear();
+            StrikeHook::new(&tables, key).stage_faults(&ops, &mut events);
+            assert!(events.windows(2).all(|w| w[0].op < w[1].op), "sorted and unique");
+            assert!(events.last().is_none_or(|e| e.op < ops.ops));
+            for e in &events {
+                match e.kind {
+                    MacFault::Duplicate => dup += 1,
+                    MacFault::Random => {
+                        assert!((1..1 << 16).contains(&e.mask));
+                        rnd += 1;
+                    }
+                    MacFault::None => panic!("a listed event faults"),
+                }
+            }
+        }
+        for (got, p) in [(dup, p_dup), (rnd, p_rnd)] {
+            let expected = p * keys as f64;
+            let sigma = expected.sqrt();
+            assert!((got as f64 - expected).abs() < 5.0 * sigma, "{got} vs {expected}");
+        }
     }
 
     #[test]

@@ -90,25 +90,42 @@ pub struct QDense {
 }
 
 impl QConv {
-    /// The accumulator of output `(oc, oy, ox)` over `input`: the bias plus
-    /// the `(ic, ky, kx)`-ordered sum of weight × activation code products,
-    /// wrapping on overflow like the i32 datapath.
-    #[inline]
-    pub fn accumulate(&self, input: &CodeMap, oc: usize, oy: usize, ox: usize) -> i32 {
+    /// Output shape `[out_channels, oh, ow]` of the stage over `input`.
+    pub fn output_shape(&self, input: &CodeMap) -> [usize; 3] {
         let (h, w) = (input.shape[1], input.shape[2]);
+        [self.out_channels, h - self.kernel + 1, w - self.kernel + 1]
+    }
+
+    /// Every output's accumulator in `(oc, oy, ox)` order: the bias plus
+    /// the weight × activation code products of its `(ic, ky, kx)` taps,
+    /// wrapping on overflow like the i32 datapath (so the summation order
+    /// is free). Each tap's weight is applied to a whole output row at a
+    /// time, which the compiler vectorises.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not have the stage's input channels.
+    pub fn accumulators(&self, input: &CodeMap) -> Vec<i32> {
+        assert_eq!(input.shape[0], self.in_channels, "conv input channels");
+        let (h, w) = (input.shape[1], input.shape[2]);
+        let [_, oh, ow] = self.output_shape(input);
         let k = self.kernel;
         let taps = self.in_channels * k * k;
-        let kernels = &self.weights[oc * taps..(oc + 1) * taps];
-        let mut acc = self.bias[oc];
-        for (ic, kernel) in kernels.chunks_exact(k * k).enumerate() {
-            for (ky, wrow) in kernel.chunks_exact(k).enumerate() {
-                let xrow = &input.codes[(ic * h + oy + ky) * w + ox..][..k];
-                for (wv, xv) in wrow.iter().zip(xrow) {
-                    acc = acc.wrapping_add(i32::from(*wv) * i32::from(*xv));
+        let mut accs = vec![0i32; self.out_channels * oh * ow];
+        for (oc, plane) in accs.chunks_exact_mut(oh * ow).enumerate() {
+            plane.fill(self.bias[oc]);
+            for (tap, &wv) in self.weights[oc * taps..(oc + 1) * taps].iter().enumerate() {
+                let (ic, ky, kx) = (tap / (k * k), (tap / k) % k, tap % k);
+                let wv = i32::from(wv);
+                for (oy, row) in plane.chunks_exact_mut(ow).enumerate() {
+                    let xrow = &input.codes[(ic * h + oy + ky) * w + kx..][..ow];
+                    for (acc, &xv) in row.iter_mut().zip(xrow) {
+                        *acc = acc.wrapping_add(wv * i32::from(xv));
+                    }
                 }
             }
         }
-        acc
+        accs
     }
 }
 
@@ -123,6 +140,17 @@ impl QDense {
             acc = acc.wrapping_add(i32::from(*wv) * i32::from(*xv));
         }
         acc
+    }
+
+    /// Every output's accumulator ([`Self::accumulate`]) over input codes
+    /// `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not have the stage's input size.
+    pub fn accumulators(&self, x: &[i8]) -> Vec<i32> {
+        assert_eq!(x.len(), self.inputs, "dense input size");
+        (0..self.outputs).map(|o| self.accumulate(x, o)).collect()
     }
 }
 
@@ -312,27 +340,18 @@ impl QuantizedNetwork {
     }
 
     fn run_conv(&self, c: &QConv, input: &CodeMap) -> CodeMap {
-        assert_eq!(input.shape[0], c.in_channels, "conv input channels");
-        let (h, w) = (input.shape[1], input.shape[2]);
-        let (oh, ow) = (h - c.kernel + 1, w - c.kernel + 1);
-        let mut codes = vec![0i8; c.out_channels * oh * ow];
-        for oc in 0..c.out_channels {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let acc = c.accumulate(input, oc, oy, ox);
-                    codes[(oc * oh + oy) * ow + ox] = self.requantize(acc, c.activation);
-                }
-            }
-        }
-        CodeMap { shape: vec![c.out_channels, oh, ow], codes }
+        let accs = c.accumulators(input);
+        self.requantize_map(c.output_shape(input).to_vec(), &accs, c.activation)
     }
 
     fn run_dense(&self, d: &QDense, input: &CodeMap) -> CodeMap {
-        let codes = dense_accumulators(d, input)
-            .into_iter()
-            .map(|acc| self.requantize(acc, d.activation))
-            .collect();
-        CodeMap { shape: vec![d.outputs], codes }
+        self.requantize_map(vec![d.outputs], &d.accumulators(&input.codes), d.activation)
+    }
+
+    /// The activation map of a stage's accumulators: [`Self::requantize`]
+    /// of each, in order.
+    pub fn requantize_map(&self, shape: Vec<usize>, accs: &[i32], act: Activation) -> CodeMap {
+        CodeMap { shape, codes: accs.iter().map(|&acc| self.requantize(acc, act)).collect() }
     }
 
     /// Accumulator → activation code: `tanh` of the dequantised
@@ -361,7 +380,7 @@ impl QuantizedNetwork {
         let map = hidden.iter().fold(self.quantize_input(input), |map, s| self.run_stage(s, &map));
         match last {
             // Keep the final accumulators at full precision.
-            QLayer::Dense(d) => dense_accumulators(d, &map),
+            QLayer::Dense(d) => d.accumulators(&map.codes),
             _ => self.run_stage(last, &map).codes.iter().map(|&c| i32::from(c)).collect(),
         }
     }
@@ -388,12 +407,6 @@ impl QuantizedNetwork {
         }
         correct as f64 / total as f64
     }
-}
-
-/// The final accumulator of every output of dense stage `d`.
-fn dense_accumulators(d: &QDense, input: &CodeMap) -> Vec<i32> {
-    assert_eq!(input.codes.len(), d.inputs, "dense input size");
-    (0..d.outputs).map(|o| d.accumulate(&input.codes, o)).collect()
 }
 
 /// Index of the largest logit; the lowest such index on ties.

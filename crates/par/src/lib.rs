@@ -12,11 +12,11 @@
 //!
 //! - Work items must be independent: item `i` may depend only on `i` and
 //!   on shared read-only state, never on another item's output.
-//! - Randomised items take their generator from [`map_seeded`], which
-//!   hands item `i` an `StdRng` seeded by [`seed_for`]`(campaign_seed, i)`
-//!   — a SplitMix64 mix of the campaign seed and the item index. The
-//!   stream an item sees is a pure function of `(campaign_seed, i)`, so
-//!   scheduling order and worker count cannot change it.
+//! - Randomised items key their randomness on [`seed_for`]`(campaign_seed,
+//!   i)` — a SplitMix64 mix of the campaign seed and the item index — as
+//!   an `StdRng` seed or as the key of counter-based [`splitmix64`] draws.
+//!   The stream an item sees is a pure function of `(campaign_seed, i)`,
+//!   so scheduling order and worker count cannot change it.
 //! - Results are written back by item index; `DEEPSTRIKE_THREADS=1` and
 //!   `DEEPSTRIKE_THREADS=64` produce byte-identical outputs.
 //!
@@ -58,9 +58,6 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
@@ -77,7 +74,12 @@ pub fn thread_count() -> usize {
     }
 }
 
-fn mix(mut z: u64) -> u64 {
+/// One SplitMix64 step from state `z`: adds the golden-ratio increment and
+/// applies the finaliser. Evaluated at `key + n·0x9E37_79B9_7F4A_7C15`, it
+/// is output `n + 1` of the SplitMix64 stream seeded at `key`: a stateless
+/// counter-based generator (Salmon et al., SC'11).
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -90,7 +92,7 @@ fn mix(mut z: u64) -> u64 {
 /// streams, so `seed ^ i`-style collisions (where two campaign points
 /// share a stream) cannot occur.
 pub fn seed_for(campaign_seed: u64, index: u64) -> u64 {
-    mix(mix(campaign_seed) ^ mix(index.wrapping_add(0x5851_F42D_4C95_7F2D)))
+    splitmix64(splitmix64(campaign_seed) ^ splitmix64(index.wrapping_add(0x5851_F42D_4C95_7F2D)))
 }
 
 /// One quarantined work item: which index panicked and a summary of the
@@ -289,26 +291,10 @@ where
     map(items.len(), |i| f(&items[i]))
 }
 
-/// Maps `f` over `0..n`, handing each item its own `StdRng` seeded from
-/// `(campaign_seed, index)` via [`seed_for`]. The randomness an item
-/// sees is independent of scheduling, so results merge bit-identically
-/// at any thread count.
-pub fn map_seeded<T, F>(n: usize, campaign_seed: u64, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut StdRng) -> T + Sync,
-{
-    map(n, |i| {
-        let mut rng = StdRng::seed_from_u64(seed_for(campaign_seed, i as u64));
-        f(i, &mut rng)
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     /// Runs `f` with the default panic hook replaced by a no-op, so
     /// intentionally-panicking work items don't spray backtraces into the
@@ -340,18 +326,6 @@ mod tests {
     fn map_items_preserves_order() {
         let items = ["a", "bb", "ccc"];
         assert_eq!(map_items(&items, |s| s.len()), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn seeded_map_matches_serial_reference() {
-        let parallel = map_seeded(64, 42, |i, rng| (i, rng.gen_range(0u32..1000)));
-        let serial: Vec<_> = (0..64)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(seed_for(42, i as u64));
-                (i as usize, rng.gen_range(0u32..1000))
-            })
-            .collect();
-        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Agreement tests between the layers of the fault-modelling stack:
 //! closed-form probabilities ↔ the Fig. 6b characterisation
-//! ([`accel::dsp::characterize`]) ↔ the executor, which share one fault
-//! application (DESIGN.md §4's "both modes are tested for agreement"),
+//! ([`accel::dsp::characterize`]) ↔ the executor, which share one
+//! duplication semantics (DESIGN.md §4's "both modes are tested for
+//! agreement"),
 //! plus stage-level agreement across the whole pipeline via the
 //! golden-trace scenarios (DESIGN.md §8).
 //!
@@ -13,7 +14,7 @@
 //! Run alone with `cargo test --release --test cosim_agreement`.
 
 use accel::dsp::{characterize, DspOp, FaultTally};
-use accel::executor::{infer_with_faults, MacHook, NoFaults};
+use accel::executor::{infer_with_faults, FaultEvent, FaultHook, NoFaults, StageOps};
 use accel::fault::{DspTiming, FaultModel, MacFault};
 use dnn::digits::{Dataset, RenderParams};
 use dnn::fixed::QFormat;
@@ -93,7 +94,7 @@ fn statistical_executor_is_bit_exact_against_reference_when_clean() {
     let mut rng = StdRng::seed_from_u64(0);
     let digits = Dataset::generate(8, &RenderParams::challenging(), &mut rng);
     for (x, _) in digits.iter() {
-        let (logits, tally) = infer_with_faults(&q, x, &mut NoFaults, &mut rng);
+        let (logits, tally) = infer_with_faults(&q, x, &mut NoFaults);
         assert_eq!(logits, q.infer_logits(x));
         assert_eq!(tally.total(), 0);
     }
@@ -101,18 +102,17 @@ fn statistical_executor_is_bit_exact_against_reference_when_clean() {
 
 #[test]
 fn duplication_semantics_match_between_dsp_and_executor_direction() {
-    // Characterisation and inference share one fault application: a
+    // Characterisation and inference share one duplication semantics: a
     // duplication at a fetch deadline sums the same PE's previous product
     // (op j - 8 on the 8-PE array), and a mid-chain one is absorbed.
     // Observe it on the MLP's last dense stage, whose accumulators are the
     // logits.
     struct DuplicateAt(fn(u64) -> bool);
-    impl MacHook for DuplicateAt {
-        fn fault(&mut self, stage: usize, op: u64, _w: i8, _x: i8) -> MacFault {
-            if stage == 2 && (self.0)(op) {
-                MacFault::Duplicate
-            } else {
-                MacFault::None
+    impl FaultHook for DuplicateAt {
+        fn stage_faults(&mut self, stage: &StageOps<'_>, events: &mut Vec<FaultEvent>) {
+            if stage.index == 2 {
+                let ops = (0..stage.ops).filter(|&op| (self.0)(op));
+                events.extend(ops.map(|op| FaultEvent { op, kind: MacFault::Duplicate, mask: 0 }));
             }
         }
     }
@@ -129,10 +129,9 @@ fn duplication_semantics_match_between_dsp_and_executor_direction() {
     let product =
         |op: u64| i32::from(fc3.weights[op as usize]) * i32::from(codes.codes[(op % n) as usize]);
     let clean = q.infer_logits(&x);
-    let mut rng = StdRng::seed_from_u64(3);
 
     // The last op of every row misses the fetch deadline.
-    let (logits, tally) = infer_with_faults(&q, &x, &mut DuplicateAt(|op| op % 32 == 31), &mut rng);
+    let (logits, tally) = infer_with_faults(&q, &x, &mut DuplicateAt(|op| op % 32 == 31));
     assert_eq!(tally.duplicate, fc3.outputs as u64);
     let mut moved = 0;
     for (o, (&got, &want)) in logits.iter().zip(&clean).enumerate() {
@@ -143,7 +142,7 @@ fn duplication_semantics_match_between_dsp_and_executor_direction() {
     assert!(moved > 0, "the duplications must be visible in the logits");
 
     // Mid-chain duplications still land: the serial sum is unharmed.
-    let (logits, tally) = infer_with_faults(&q, &x, &mut DuplicateAt(|op| op % 32 == 5), &mut rng);
+    let (logits, tally) = infer_with_faults(&q, &x, &mut DuplicateAt(|op| op % 32 == 5));
     assert_eq!(tally.duplicate, fc3.outputs as u64);
     assert_eq!(logits, clean);
 }

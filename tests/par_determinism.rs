@@ -1,10 +1,11 @@
 //! Determinism contract of the parallel campaign runtime and the kernel
-//! fast paths: thread count must never change a result, and the optimised
-//! kernels must agree with their naive oracles bit-for-bit.
+//! fast paths: thread count and batch boundaries must never change a
+//! result, and the optimised kernels must agree with their naive oracles
+//! bit-for-bit.
 
 use accel::fault::FaultModel;
 use accel::schedule::AccelConfig;
-use deepstrike::attack::{evaluate_attack, plan_attack, profile_victim};
+use deepstrike::attack::{evaluate_attack, plan_attack, profile_victim, AttackOutcome};
 use deepstrike::cosim::{CloudFpga, CosimConfig};
 use dnn::digits::{Dataset, RenderParams};
 use dnn::fixed::QFormat;
@@ -64,6 +65,58 @@ fn accuracy_series_is_identical_at_any_thread_count() {
     match prior {
         Some(v) => std::env::set_var(par::THREADS_ENV, v),
         None => std::env::remove_var(par::THREADS_ENV),
+    }
+}
+
+/// An outcome's counts over `n` images: clean-correct, attacked-correct,
+/// duplication faults and random faults.
+fn counts(o: &AttackOutcome, n: usize) -> [u64; 4] {
+    let count = |share: f64| (share * n as f64).round() as u64;
+    [
+        count(o.clean_accuracy),
+        count(o.attacked_accuracy),
+        count(o.mean_duplicate_per_image),
+        count(o.mean_random_per_image),
+    ]
+}
+
+/// Fault draws are keyed on `seed + i` per image, so scoring a set in
+/// slices, each at `seed + slice_start`, gives every image the faults it
+/// gets in one call over the whole set: the merged counts equal the
+/// whole-set counts exactly, however the set is cut.
+#[test]
+fn scoring_in_slices_equals_scoring_the_whole_set() {
+    let net = mlp(&mut StdRng::seed_from_u64(3));
+    let q = QuantizedNetwork::from_sequential(&net, &[1, 28, 28], QFormat::paper()).unwrap();
+    let images = Dataset::generate(24, &RenderParams::default(), &mut StdRng::seed_from_u64(9));
+    let samples: Vec<(&Tensor, usize)> = images.iter().collect();
+
+    let accel = AccelConfig { weight_bandwidth: 16, stall_cycles: 150 };
+    let mut fpga = CloudFpga::new(&q, &accel, 10_000, CosimConfig { pdn_substeps: 4 }).unwrap();
+    fpga.settle(50);
+    let profile = profile_victim(&mut fpga, &["fc1", "fc2", "fc3"], 1).unwrap();
+    fpga.scheduler_mut().load_scheme(&plan_attack(&profile, "fc1", 60).unwrap()).unwrap();
+    fpga.scheduler_mut().arm(true).unwrap();
+    let run = fpga.run_inference();
+
+    const SEED: u64 = 17;
+    let score = |slice: &[(&Tensor, usize)], seed: u64| {
+        evaluate_attack(&q, fpga.schedule(), &run, slice.iter().copied(), FaultModel::paper(), seed)
+    };
+    let whole = score(&samples, SEED);
+    let whole_counts = counts(&whole, samples.len());
+    assert!(whole_counts[2] + whole_counts[3] > 0, "the run must fault: {whole:?}");
+    for slices in [2usize, 3, 4, 6] {
+        let len = samples.len() / slices;
+        let mut merged = [0u64; 4];
+        for (k, slice) in samples.chunks(len).enumerate() {
+            let part = score(slice, SEED.wrapping_add((k * len) as u64));
+            assert_eq!(part.strikes_fired, whole.strikes_fired);
+            for (m, c) in merged.iter_mut().zip(counts(&part, slice.len())) {
+                *m += c;
+            }
+        }
+        assert_eq!(merged, whole_counts, "{slices} slices of {len} images");
     }
 }
 
