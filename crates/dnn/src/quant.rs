@@ -3,9 +3,10 @@
 //! Deployment follows the paper: parameters and activations are 8-bit
 //! fixed point ([`QFormat::paper`]); MAC accumulation happens on the raw
 //! integer codes exactly as a DSP48 does it. This is the one copy of that
-//! clean arithmetic ([`QConv::accumulate`], [`QDense::accumulate`],
+//! clean arithmetic ([`QConv::accumulators`], [`QDense::accumulators`],
 //! [`QuantizedNetwork::requantize`], [`argmax`]): the `accel` crate's
-//! fault-aware executor calls it wherever no fault can land.
+//! fault-aware executor sums every stage with it and then corrects the
+//! outputs its faults touch.
 //!
 //! Scale conventions (for the 5-fraction-bit format):
 //!
